@@ -41,7 +41,7 @@ def main():
     group = form_group(net, PARAMS.n, rng)
     print(f"\nseed {group.seed} recruits {list(group.members[1:])}")
 
-    spoken = dict(zip(group.members, _speak_all(pop, group.members, PARAMS, rng)))
+    spoken = _speak_all(pop, group.members, PARAMS, rng)
     print(f"spoken words: {spoken}")
 
     wt = word_weights(group, spoken, net)
@@ -58,6 +58,9 @@ def main():
 
     unsuccessful = set(group.members)
     for word in picks:
+        if not unsuccessful:
+            print("  everyone has succeeded: the remaining draws reach nobody")
+            break
         n_succ = transmit_word(word, spoken, group, net, pop, unsuccessful,
                                PARAMS.n, rng)
         done = sorted(set(group.members) - unsuccessful)

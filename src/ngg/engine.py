@@ -20,7 +20,9 @@ One iteration of the group game (mode "ngg"):
      speaker still waiting then succeeds with probability n_succ/N, where
      n_succ is the number of hearer successes of this broadcast
 
-Members that succeed once are left alone for the rest of the round. The
+Members that succeed once are left alone for the rest of the round; once
+all of them have, the remaining draws reach nobody and are not broadcast
+(they would consume no randomness, so the RNG stream is the same). The
 population has converged when every memory is exactly the same single word.
 
 Mode "ngmh" keeps the group but only the seed speaks: its word is broadcast
@@ -156,11 +158,10 @@ class Group:
 
 @dataclass
 class WeightTable:
-    """Pair/node/word weights of one round, before transmission."""
+    """Node/word weights of one round, before transmission."""
 
     members: tuple
-    pair_w: np.ndarray   # |G| x |G|, symmetric, zero diagonal
-    node_w: np.ndarray   # row sums of pair_w
+    node_w: np.ndarray   # per member: summed pair weights to the others
     words: list          # distinct spoken words, first-spoken order
     word_w: np.ndarray   # aligned with words
     probs: np.ndarray    # word_w normalised to sum 1
@@ -169,7 +170,8 @@ class WeightTable:
 @dataclass
 class RoundOutcome:
     group_size: int
-    transmitted: list       # [(word, n_succ), ...] in transmission order
+    transmitted: list       # broadcast words in transmission order
+    heard: int              # hearer successes summed over the broadcasts
     successful_members: int
     sr: float               # successful_members / group_size
 
@@ -207,19 +209,22 @@ def speak(pop: PopulationState, agent: int, params: GameParams,
 
 
 def _speak_all(pop: PopulationState, members: Sequence[int], params: GameParams,
-               rng: np.random.Generator) -> list:
-    """speak() for every member with one bulk uniform draw (hot path)."""
+               rng: np.random.Generator) -> dict:
+    """speak() for every member with one bulk uniform draw (hot path).
+
+    Returns {member: word} in member order.
+    """
     u = rng.random(len(members))
     empties = sum(1 for i in members if not pop.memories[i])
     fresh = None
     if empties and params.vocabulary is not None:
         fresh = iter(rng.integers(params.vocabulary, size=empties))
-    out = []
+    out = {}
     for idx, agent in enumerate(members):
         mem = pop.memories[agent]
         if mem:
             k = len(mem)
-            out.append(mem[min(int(u[idx] * k), k - 1)])
+            out[agent] = mem[min(int(u[idx] * k), k - 1)]
         else:
             if fresh is None:
                 word = pop.next_fresh_word
@@ -227,7 +232,7 @@ def _speak_all(pop: PopulationState, members: Sequence[int], params: GameParams,
             else:
                 word = int(next(fresh))
             pop.learn(agent, word)
-            out.append(word)
+            out[agent] = word
     return out
 
 
@@ -239,7 +244,11 @@ def pair_weight(i: int, j: int, net: Network) -> float:
 
 
 def node_weights(members: Sequence[int], net: Network) -> tuple:
-    """(pair matrix, per-member sums) for the group-internal weights."""
+    """(pair matrix, per-member sums) for the group-internal weights.
+
+    The dense reference for the node weights word_weights computes from
+    neighbour bitmasks.
+    """
     sub = net.adj[np.ix_(members, members)]
     pw = np.where(sub, 1.0, 0.5)
     np.fill_diagonal(pw, 0.0)
@@ -252,23 +261,35 @@ def word_weights(group: Group, spoken: dict, net: Network) -> WeightTable:
     spoken maps every group member to the word it spoke this round. Words
     are kept in first-spoken order (member order), which fixes the layout
     of the probability vector for reproducible draws.
+
+    A member's node weight is 0.5 per other member plus another 0.5 per
+    adjacent one. Every term is a multiple of 0.5, so the sums are exact and
+    equal, bit for bit, to the row sums of the dense pair matrix.
     """
     members = group.members
-    pw, nw = node_weights(members, net)
+    masks = net.neighbor_masks()
+    member_mask = 0
+    for agent in members:
+        member_mask |= 1 << agent
+    base = 0.5 * (len(members) - 1)
+    node: list = []
     words: list = []
     index: dict = {}
     acc: list = []
-    for idx, agent in enumerate(members):
+    for agent in members:
+        nw = base + 0.5 * (masks[agent] & member_mask).bit_count()
+        node.append(nw)
         w = spoken[agent]
         at = index.get(w)
         if at is None:
             index[w] = len(words)
             words.append(w)
-            acc.append(nw[idx])
+            acc.append(nw)
         else:
-            acc[at] += nw[idx]
+            acc[at] += nw
     word_w = np.asarray(acc)
-    return WeightTable(members, pw, nw, words, word_w, word_w / word_w.sum())
+    return WeightTable(members, np.asarray(node), words, word_w,
+                       word_w / word_w.sum())
 
 
 def transmit_count(params: GameParams, actual_size: int) -> int:
@@ -309,17 +330,20 @@ def transmit_word(word: int, spoken: dict, group: Group, net: Network,
     if not sources:
         raise UnknownSourceError(f"word {word} has no round-start speaker")
     sole = sources[0] if len(sources) == 1 else None
+    src_mask = 0
+    for s in sources:
+        src_mask |= 1 << s
 
+    masks = net.neighbor_masks()
     listeners = [i for i in members if i in unsuccessful]
-    # Self-adjacency is always False, so a source's row only reacts to the
+    # No node is its own neighbour, so a source's mask only reacts to the
     # *other* sources; non-adjacent listeners fall through to the 0.5 coin.
-    adj_to_src = net.adj[np.ix_(listeners, sources)].any(axis=1)
-    u = rng.random(len(listeners))
+    u = rng.random(len(listeners)).tolist()
     n_succ = 0
-    for li, agent in enumerate(listeners):
+    for agent, ui in zip(listeners, u):
         if agent == sole:
             continue  # a lone source cannot hear itself (pair weight 0)
-        if not (adj_to_src[li] or u[li] < 0.5):
+        if not (masks[agent] & src_mask or ui < 0.5):
             continue
         if word in pop.memories[agent]:
             pop.adopt(agent, word)
@@ -354,17 +378,18 @@ def run_group_round(net: Network, pop: PopulationState, params: GameParams,
     """One full group conversation (mode "ngg")."""
     group = form_group(net, params.n, rng)
     members = group.members
-    spoken = dict(zip(members, _speak_all(pop, members, params, rng)))
+    spoken = _speak_all(pop, members, params, rng)
     wt = word_weights(group, spoken, net)
     picks = select_transmitting_words(wt, params, len(members), rng)
     basis = params.n if params.group_size_basis == "nominal" else len(members)
     unsuccessful = set(members)
-    transmitted = []
+    heard = 0
     for w in picks:
-        n_succ = transmit_word(w, spoken, group, net, pop, unsuccessful, basis, rng)
-        transmitted.append((w, n_succ))
+        if not unsuccessful:
+            break  # members never rejoin: the rest of the picks reach nobody
+        heard += transmit_word(w, spoken, group, net, pop, unsuccessful, basis, rng)
     successful = len(members) - len(unsuccessful)
-    return RoundOutcome(len(members), transmitted, successful,
+    return RoundOutcome(len(members), picks, heard, successful,
                         successful / len(members))
 
 
@@ -387,7 +412,7 @@ def _ngmh_apply(group: Group, word: int, pop: PopulationState,
         pop.adopt(group.seed, word)
     successful = n_succ + (1 if seed_ok else 0)
     size = len(group.members)
-    return RoundOutcome(size, [(word, n_succ)], successful, successful / size)
+    return RoundOutcome(size, [word], n_succ, successful, successful / size)
 
 
 def ngmh_round(net: Network, pop: PopulationState, params: GameParams,
@@ -409,9 +434,9 @@ def minimal_ng_round(net: Network, pop: PopulationState, params: GameParams,
     if word in pop.memories[hearer]:
         pop.adopt(hearer, word)
         pop.adopt(speaker, word)
-        return RoundOutcome(2, [(word, 1)], 2, 1.0)
+        return RoundOutcome(2, [word], 1, 2, 1.0)
     pop.learn(hearer, word)
-    return RoundOutcome(2, [(word, 0)], 0, 0.0)
+    return RoundOutcome(2, [word], 0, 0, 0.0)
 
 
 _ROUNDS = {"ngg": run_group_round, "ngmh": ngmh_round, "minimal": minimal_ng_round}

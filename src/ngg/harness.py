@@ -159,6 +159,12 @@ def _as_number(value, where: str) -> float:
     return float(value)
 
 
+def _as_type(value, kind: type, where: str, what: str):
+    if not isinstance(value, kind):
+        raise ValidationError(where, f"expected {what}, got {value!r}")
+    return value
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a decoded JSON object; unknown keys anywhere are rejected."""
     if not isinstance(raw, dict):
@@ -238,9 +244,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         game=game,
         repetitions=_as_int(raw["repetitions"], "repetitions", minimum=1),
         master_seed=_as_int(raw["master_seed"], "master_seed", minimum=0),
-        output_dir=raw.get("output_dir", "ngg_out"),
+        output_dir=_as_type(raw.get("output_dir", "ngg_out"), str, "output_dir",
+                            "a string"),
         sweep=sweep,
-        fixed_network=bool(raw.get("fixed_network", False)),
+        fixed_network=_as_type(raw.get("fixed_network", False), bool,
+                               "fixed_network", "true or false"),
         parallelism=_as_int(raw.get("parallelism", 1), "parallelism", minimum=1),
     )
     # every sweep point must survive the same validation as the base game

@@ -105,6 +105,7 @@ class Network:
     adj: np.ndarray
 
     _neighbors: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _masks: Optional[list] = field(default=None, repr=False, compare=False)
     _edge_list: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
@@ -125,6 +126,13 @@ class Network:
             self._neighbors = tuple(
                 np.flatnonzero(self.adj[j]) for j in range(self.m))
         return self._neighbors[i]
+
+    def neighbor_masks(self) -> list:
+        """One int per node with bit j set iff j is adjacent (cached per network)."""
+        if self._masks is None:
+            packed = np.packbits(self.adj, axis=1, bitorder="little")
+            self._masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return self._masks
 
     def edges(self) -> np.ndarray:
         """(E, 2) array of edges with u < v, lexicographically sorted."""

@@ -7,11 +7,14 @@ tests compare the two implementations against each other.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
+import ngg
 from ngg.netgen import Network, NetworkSpec
 
 
@@ -158,3 +161,24 @@ def oracle_group_weights(members, adj: np.ndarray, spoken: dict):
     total = sum(word_w[w] for w in words)
     probs = [word_w[w] / total for w in words]
     return ip, node, words, [word_w[w] for w in words], probs
+
+
+# ----------------------------------------------------------------------
+# Child processes
+# ----------------------------------------------------------------------
+
+
+def prepend(env, var, entry):
+    env[var] = os.pathsep.join(filter(None, [str(entry), env.get(var)]))
+
+
+def child_env():
+    """Environment for a child process that imports the same ngg as this one.
+
+    The directory holding the imported ``ngg`` package goes first on
+    ``PYTHONPATH``, so the tests need neither an install nor an exported
+    variable.
+    """
+    env = dict(os.environ)
+    prepend(env, "PYTHONPATH", Path(ngg.__file__).resolve().parents[1])
+    return env

@@ -253,6 +253,7 @@ def _check_group_against_oracle(net, members, spoken):
     pw, nw = node_weights(members, net)
     assert pw.tolist() == ip
     assert nw.tolist() == node
+    assert wt.node_w.tolist() == node
     assert wt.words == words
     assert wt.word_w.tolist() == word_w
     assert wt.probs.tolist() == probs
@@ -436,7 +437,7 @@ def test_criterion_8_group_round_reduces_to_single_speaker():
 
                                 assert pops[0].memories == pops[1].memories \
                                     == pops[2].memories, f"case {cases}"
-                                assert n_a == out_b.transmitted[0][1] == n_c
+                                assert n_a == out_b.heard == n_c
                                 assert succ_a == out_b.successful_members == succ_c
     # 24 legal (graph, group) pairs x 125 memory configs x seed words x 2 bases
     assert cases == 8400

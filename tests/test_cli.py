@@ -1,7 +1,6 @@
 """Command-line interface: artifacts, exit codes, SVG output."""
 
 import json
-import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-import ngg
+from conftest import child_env, prepend
 from ngg.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -234,22 +233,6 @@ def test_plot_rejects_foreign_csv(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # entry points started as child processes
 # ----------------------------------------------------------------------
-
-
-def prepend(env, var, entry):
-    env[var] = os.pathsep.join(filter(None, [str(entry), env.get(var)]))
-
-
-def child_env():
-    """Environment for a child process that imports the same ngg as this one.
-
-    The directory holding the imported ``ngg`` package goes first on
-    ``PYTHONPATH``, so the tests need neither an install nor an exported
-    variable.
-    """
-    env = dict(os.environ)
-    prepend(env, "PYTHONPATH", Path(ngg.__file__).resolve().parents[1])
-    return env
 
 
 def test_entry_point_version():

@@ -208,6 +208,7 @@ def test_word_weights_match_oracle_randomized():
             members, net.adj, spoken)
         _, nw = node_weights(members, net)
         assert nw.tolist() == node
+        assert wt.node_w.tolist() == node
         assert wt.words == words
         assert wt.word_w.tolist() == word_w
         assert wt.probs.tolist() == probs
@@ -412,7 +413,7 @@ def test_successful_members_have_singleton_memory():
     for _ in range(300):
         before = {a: list(pop.memories[a]) for a in range(25)}
         outcome = run_group_round(net, pop, params, r)
-        words = {w for w, _ in outcome.transmitted}
+        words = set(outcome.transmitted)
         for a in range(25):
             if len(pop.memories[a]) < len(before[a]):
                 # memory can only shrink through adoption
@@ -436,8 +437,8 @@ def test_round_outcome_invariants_and_counters():
         assert len(outcome.transmitted) == transmit_count(params, outcome.group_size)
         assert 0 <= outcome.successful_members <= outcome.group_size
         assert outcome.sr == outcome.successful_members / outcome.group_size
-        for _, n_succ in outcome.transmitted:
-            assert 0 <= n_succ <= outcome.group_size
+        # every hearer success is a member leaving the unsuccessful set
+        assert 0 <= outcome.heard <= outcome.successful_members
     assert pop.recount() == (pop.total_words, pop.distinct_words)
 
 
@@ -478,7 +479,8 @@ def test_ngmh_apply_hearers_adopt_seed_waits():
         pop.learn(a, a + 10)
     group = Group(0, (0, 1, 2, 3, 4))
     outcome = _ngmh_apply(group, 2, pop, 5)
-    assert outcome.transmitted == [(2, 4)]
+    assert outcome.transmitted == [2]
+    assert outcome.heard == 4
     assert outcome.successful_members == 4  # floor(4/5) = 0: seed excluded
     assert pop.memories[0] == [2, 10]
     assert all(pop.memories[a] == [2] for a in range(1, 5))
@@ -488,7 +490,8 @@ def test_ngmh_apply_unknown_word_spreads():
     pop = PopulationState(3)
     pop.learn(0, 1)
     outcome = _ngmh_apply(Group(0, (0, 1, 2)), 1, pop, 3)
-    assert outcome.transmitted == [(1, 0)]
+    assert outcome.transmitted == [1]
+    assert outcome.heard == 0
     assert outcome.successful_members == 0
     assert pop.memories == [[1], [1], [1]]
 
@@ -501,7 +504,8 @@ def test_ngmh_seed_never_succeeds_in_rounds():
     for _ in range(500):
         outcome = ngmh_round(net, pop, params, r)
         # group size <= n means floor(n_succ/n) = 0: hearer successes only
-        assert outcome.successful_members == outcome.transmitted[0][1]
+        assert len(outcome.transmitted) == 1
+        assert outcome.successful_members == outcome.heard
 
 
 def test_ngmh_converges_via_hearers():

@@ -105,6 +105,9 @@ def test_parse_minimal_config():
     (lambda r: r.update(repetitions=0), "repetitions"),
     (lambda r: r.update(master_seed=-1), "master_seed"),
     (lambda r: r.update(parallelism=0), "parallelism"),
+    (lambda r: r.update(fixed_network="false"), "fixed_network"),
+    (lambda r: r.update(fixed_network=1), "fixed_network"),
+    (lambda r: r.update(output_dir=5), "output_dir"),
     (lambda r: r.update(sweep={}), "sweep"),
     (lambda r: r.update(sweep={"betas": []}), "sweep.betas"),
     (lambda r: r.update(sweep={"betas": [0.5], "speed": [1]}), "sweep.speed"),

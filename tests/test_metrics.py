@@ -35,7 +35,7 @@ def test_snapshot_reads_counters_and_outcome():
     pop.learn(0, 5)
     pop.learn(1, 5)
     pop.learn(1, 8)
-    outcome = RoundOutcome(3, [(5, 2), (8, 0)], 2, 2 / 3)
+    outcome = RoundOutcome(3, [5, 8], 2, 2, 2 / 3)
     r = snapshot(pop, outcome, 7)
     assert r == TraceRecord(7, 3, 2, 2 / 3, 3, 2)
 
