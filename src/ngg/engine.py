@@ -263,8 +263,9 @@ def word_weights(group: Group, spoken: dict, net: Network) -> WeightTable:
     of the probability vector for reproducible draws.
 
     A member's node weight is 0.5 per other member plus another 0.5 per
-    adjacent one. Every term is a multiple of 0.5, so the sums are exact and
-    equal, bit for bit, to the row sums of the dense pair matrix.
+    adjacent one. Every term is a multiple of 0.5, so all sums are exact:
+    the weights equal, bit for bit, the row sums of the dense pair matrix,
+    and the total does not depend on the order of summation.
     """
     members = group.members
     masks = net.neighbor_masks()
@@ -289,7 +290,7 @@ def word_weights(group: Group, spoken: dict, net: Network) -> WeightTable:
             acc[at] += nw
     word_w = np.asarray(acc)
     return WeightTable(members, np.asarray(node), words, word_w,
-                       word_w / word_w.sum())
+                       word_w / sum(acc))
 
 
 def transmit_count(params: GameParams, actual_size: int) -> int:
