@@ -1,0 +1,56 @@
+"""Golden `ngg net` artifacts: SHA-256 of edges.txt and stats.json.
+
+The digests were taken from the dense-matrix statistics and the per-row
+edge-list writer. Any change to generation, statistics or the artifact
+writers must leave them unchanged, so the files stay byte-identical for the
+same seed. The M=1000 knobs are those of the benchmark's net_build workload.
+"""
+
+import hashlib
+
+import pytest
+
+from ngg.cli import main
+
+SEED = 2013
+
+# name -> (`ngg net` model arguments, sha256 of edges.txt, of stats.json)
+GOLDEN = {
+    "rg-1000": (
+        ["--model", "rg", "--m", "1000", "--p", "0.05"],
+        "e9e919f7ea1a956e0b03d3bada63531c104ff4df58ca7e76d1b9d6f042be3efc",
+        "7ebd3061c8e8bf6b9bffb49d57f460f822cd25b3072edb6d4cf26b6f1acb3faf"),
+    "ws-1000": (
+        ["--model", "ws", "--m", "1000", "--k", "20", "--rp", "0.2"],
+        "e9b59c0b2d1474ecdbcb430d58877e4f435459413a072896ae0b73f901c03bd6",
+        "66631cbba622c0f63339923312e7037828a8fc2cd6063a20a222b7c2a2059295"),
+    "ba-1000": (
+        ["--model", "ba", "--m", "1000", "--n0", "51", "--e", "50"],
+        "26844bcacd1f2c0f4c671111d38dbc4dcea6785603e83e1fb198b2bbc6d6e76f",
+        "767b3a65a33747e9d1de643acbf93fdbeb25a279f5d959233dc29dd9d393e7da"),
+    "rg-60": (
+        ["--model", "rg", "--m", "60", "--p", "0.1"],
+        "8904e69b0068a17af74d5fc613d976d2c7f4989fc4c66adf0410f90493da1c09",
+        "1100a033b473e08177a69ce3bc1535f6059cf4c4aac4a630fda427741d9c6d6e"),
+    "ws-60": (
+        ["--model", "ws", "--m", "60", "--k", "3", "--rp", "0.25"],
+        "f990f90af734c20eedc5cca8d99e2a1afe6b495deeccb36a6b12e7aefdcebf27",
+        "e0d1a53c6980d1ba8b76d3780ee323b7306d3671cc75b953dd8056da2a4b27ea"),
+    "ba-60": (
+        ["--model", "ba", "--m", "60", "--n0", "4", "--e", "3"],
+        "52380b755c2b1f6e941be1dbff90ef63fe9c9365f4b93b27d0c0d5dcc431d410",
+        "db48a84d02cf9edc9b47105a61d5e313cc91a3d3885e59893a4be596771b9ca0"),
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_net_artifacts_are_golden(tmp_path, capsys, name):
+    argv, edges_digest, stats_digest = GOLDEN[name]
+    assert main(["net", *argv, "--seed", str(SEED), "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.txt", "stats.json"]
+    assert sha256(tmp_path / "edges.txt") == edges_digest
+    assert sha256(tmp_path / "stats.json") == stats_digest
