@@ -25,8 +25,7 @@ from .metrics import (AggregateStats, AvgTraceRecord, RunSummary, Trace,
                       TraceRecord, aggregate_summaries, average_runs,
                       read_trace_columns, read_trace_csv, snapshot, summarize,
                       write_trace_csv)
-from .netgen import (Network, NetworkSpec, NetworkStats, all_pairs_distances,
-                     compute_stats, generate, is_connected, read_edge_list,
-                     write_edge_list)
+from .netgen import (Network, NetworkSpec, NetworkStats, compute_stats,
+                     generate, is_connected, read_edge_list, write_edge_list)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,7 +25,7 @@ from . import __version__
 from .errors import (ConnectivityFailureError, InvalidParamError, NggError,
                      ParseError, ValidationError)
 from .harness import load_config, run_experiment
-from .metrics import read_trace_columns
+from .metrics import read_trace_columns, write_atomic
 from .netgen import NetworkSpec, compute_stats, generate, write_edge_list
 from .plotting import render_line_chart
 
@@ -88,18 +88,10 @@ def _cmd_net(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_edge_list(net, out / "edges.txt")
-    record = {
-        "model": spec.model,
-        "params": spec.params(),
-        "m": spec.m,
-        "avg_degree": stats.avg_degree,
-        "avg_path_length": stats.avg_path_length,
-        "clustering_coefficient": stats.clustering_coefficient,
-        "seed": args.seed,
-    }
-    with open(out / "stats.json", "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    record = {"model": spec.model, "params": spec.params(), "m": spec.m,
+              "seed": args.seed, **dataclasses.asdict(stats)}
+    write_atomic(out / "stats.json",
+                 json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"{spec.label()} m={spec.m} avg_degree={stats.avg_degree:.6g} "
           f"avg_path_length={stats.avg_path_length:.6g} "
           f"clustering={stats.clustering_coefficient:.6g} seed={args.seed}")

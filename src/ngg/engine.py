@@ -34,7 +34,7 @@ listens. Mode "minimal" is the classic two-agent game on a random edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .engine import GROUP_SIZE_BASES, MODES, GameParams, run_to_convergence
+from .engine import MODES, GameParams, run_to_convergence
 from .errors import InvalidParamError, ParseError, ValidationError
 from .metrics import (AggregateStats, RunSummary, aggregate_summaries,
                       average_runs, write_atomic, write_trace_csv)

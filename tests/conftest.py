@@ -17,8 +17,9 @@ import numpy as np
 
 import ngg
 from ngg.engine import _ROUNDS, PopulationState
+from ngg.errors import DisconnectedError
 from ngg.metrics import TRACE_FIELDS, AvgTraceRecord, snapshot
-from ngg.netgen import Network, NetworkSpec
+from ngg.netgen import Network, NetworkSpec, NetworkStats
 
 
 def net_from_edges(m: int, edges) -> Network:
@@ -190,6 +191,35 @@ def oracle_group_weights(members, adj: np.ndarray, spoken: dict):
 # ----------------------------------------------------------------------
 
 
+def oracle_compute_stats(net: Network) -> NetworkStats:
+    """compute_stats through a float distance matrix and a separate A @ A
+    triangle count: the dense reference the one-pass statistics replaced."""
+    m = net.m
+    deg = net.degrees.astype(np.float64)
+    af = net.adj.astype(np.float32)
+    dist = np.where(net.adj, 1.0, np.inf)
+    np.fill_diagonal(dist, 0.0)
+    reach = net.adj | np.eye(m, dtype=bool)
+    d = 1
+    while np.isinf(dist).any():
+        nxt = ((reach.astype(np.float32) @ af) > 0) | reach
+        new = nxt & ~reach
+        if not new.any():
+            raise DisconnectedError("average path length needs a connected network")
+        d += 1
+        dist[new] = d
+        reach = nxt
+    apl = float(dist[np.triu_indices(m, 1)].mean())
+    triangles = ((af @ af) * af).sum(axis=1).astype(np.float64) / 2.0
+    possible = deg * (deg - 1.0) / 2.0
+    local = np.divide(triangles, possible, out=np.zeros(m), where=possible > 0)
+    return NetworkStats(
+        avg_degree=float(deg.mean()),
+        avg_path_length=apl,
+        clustering_coefficient=float(local.mean()),
+    )
+
+
 def oracle_scale_free(m: int, n0: int, e: int, rng) -> np.ndarray:
     """Barabasi-Albert adjacency through rng.choice and a loop over targets."""
     adj = np.zeros((m, m), dtype=bool)
@@ -251,6 +281,29 @@ def oracle_write_trace_csv(records, path) -> None:
         for r in records:
             out.writerow([r.iteration, *(fmt(getattr(r, f))
                                          for f in TRACE_FIELDS[1:])])
+
+
+# ----------------------------------------------------------------------
+# Failing writes
+# ----------------------------------------------------------------------
+
+
+class HalfFile:
+    """An open file whose first write keeps `keep` characters, then raises
+    the error of a full disk."""
+
+    def __init__(self, fh, keep: int):
+        self.fh, self.keep = fh, keep
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:self.keep])
+        raise OSError(28, "No space left on device")
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, SVG output."""
 
+import builtins
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import child_env, prepend
+from conftest import HalfFile, child_env, prepend
 from ngg.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -75,6 +76,25 @@ def test_net_invalid_params_exit_2(tmp_path, capsys):
     code = main(["net", "--model", "ws", "--m", "10", "--k", "5",
                  "--rp", "0.1", "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["edges.txt", "stats.json"])
+def test_net_failed_write_leaves_no_file(tmp_path, monkeypatch, name):
+    # the disk fills up after the first 5 characters of one artifact's write
+    real_open = builtins.open
+
+    def failing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return HalfFile(fh, 5) if name in str(path) else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    with pytest.raises(OSError):
+        main(["net", "--model", "rg", "--m", "30", "--p", "0.3",
+              "--out", str(tmp_path)])
+    monkeypatch.undo()
+    # edges.txt is written first, so it is whole when stats.json fails
+    kept = [] if name == "edges.txt" else ["edges.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == kept
 
 
 def test_unknown_flag_exits_2(tmp_path):

@@ -26,7 +26,7 @@ from ngg.metrics import (
 )
 from ngg.netgen import NetworkSpec, generate
 
-from conftest import oracle_average_runs, oracle_write_trace_csv
+from conftest import HalfFile, oracle_average_runs, oracle_write_trace_csv
 
 
 def rec(it, total, diff, sr=0.0, size=4, nt=2):
@@ -336,23 +336,8 @@ def test_header_only_trace_reads_empty(tmp_path):
 def test_failed_trace_write_leaves_no_file(tmp_path, monkeypatch):
     # the disk fills up after the first 100 characters of the write
     real_open = builtins.open
-
-    class HalfFile:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, text):
-            self.fh.write(text[:100])
-            raise OSError(28, "No space left on device")
-
     monkeypatch.setattr(metrics, "open",
-                        lambda *a, **k: HalfFile(real_open(*a, **k)),
+                        lambda *a, **k: HalfFile(real_open(*a, **k), 100),
                         raising=False)
     trace, _ = small_run()
     with pytest.raises(OSError):

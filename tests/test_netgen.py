@@ -1,7 +1,5 @@
 """Network generators and statistics against brute-force oracles."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -28,8 +26,10 @@ from conftest import (
     connected_labeled_graphs,
     floyd_warshall,
     net_from_edges,
+    oracle_compute_stats,
     oracle_scale_free,
     oracle_stats,
+    path_net,
     star_net,
 )
 
@@ -258,6 +258,48 @@ def test_stats_match_oracle_random_graphs():
         assert abs(got.avg_degree - d) < 1e-12
         assert abs(got.avg_path_length - apl) < 1e-12
         assert abs(got.clustering_coefficient - cc) < 1e-12
+
+
+PAPER_SPECS = [
+    NetworkSpec("rg", 1000, p=0.05),
+    NetworkSpec("ws", 1000, k=20, rp=0.2),
+    NetworkSpec("ba", 1000, n0=51, e=50),
+]
+
+
+@pytest.mark.parametrize("spec", PAPER_SPECS, ids=lambda s: s.model)
+@pytest.mark.parametrize("seed", [11, 12])
+def test_stats_equal_dense_oracle_at_paper_scale(spec, seed):
+    net = generate(spec, rng(seed))
+    assert compute_stats(net) == oracle_compute_stats(net)
+
+
+@pytest.mark.parametrize("net", [
+    star_net(1), star_net(9), complete_net(2), complete_net(7), path_net(2),
+    path_net(13), generate(NetworkSpec("ws", 50, k=4, rp=0.0), rng(0)),
+], ids=["star1", "star9", "complete2", "complete7", "path2", "path13",
+        "ws-lattice"])
+def test_stats_equal_dense_oracle_on_fixed_graphs(net):
+    assert compute_stats(net) == oracle_compute_stats(net)
+
+
+@pytest.mark.parametrize("spec", [
+    NetworkSpec("rg", 150, p=0.08),
+    NetworkSpec("ws", 150, k=4, rp=0.1),
+    NetworkSpec("ba", 150, n0=4, e=3),
+], ids=lambda s: s.model)
+def test_stats_match_networkx(spec):
+    import networkx as nx
+
+    for seed in range(5):
+        net = generate(spec, rng(seed))
+        graph = nx.from_numpy_array(net.adj)
+        stats = compute_stats(net)
+        assert abs(stats.avg_path_length
+                   - nx.average_shortest_path_length(graph)) <= 1e-12
+        assert abs(stats.clustering_coefficient
+                   - nx.average_clustering(graph)) <= 1e-12
+        assert stats.avg_degree == 2 * graph.number_of_edges() / net.m
 
 
 def test_distances_match_floyd_warshall():
