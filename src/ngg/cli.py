@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (ConnectivityFailureError, InvalidParamError, NggError,
-                     ParseError, ValidationError)
+                     ValidationError)
 from .harness import load_config, run_experiment
 from .metrics import read_trace_columns, write_atomic
 from .netgen import NetworkSpec, compute_stats, generate, write_edge_list
@@ -140,7 +140,11 @@ def _cmd_plot(args) -> int:
                 "metric-vs-beta needs --metric and --x")
         if len(args.x) != len(args.inputs):
             raise InvalidParamError("--x count must match --inputs")
-        values = [_extract_metric(c, args.metric) for c in columns]
+        try:
+            values = [_extract_metric(path, cols, args.metric)
+                      for path, cols in zip(args.inputs, columns)]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise InvalidParamError(f"unreadable report.json beside the inputs: {exc!r}")
         order = np.argsort(args.x, kind="stable")
         xs = [args.x[i] for i in order]
         ys = [values[i] for i in order]
@@ -160,13 +164,19 @@ def _cmd_plot(args) -> int:
         series, title=args.title, xlabel=xlabel, ylabel=ylabel, log_y=log_y,
         desc=f"kind={args.kind};yscale={'log' if log_y else 'linear'};"
              f"series={len(series)}")
-    with open(args.out, "w") as fh:
-        fh.write(svg)
+    write_atomic(args.out, svg)
     print(f"wrote {args.out} ({len(series)} series)")
     return 0
 
 
-def _extract_metric(cols: dict, metric: str) -> float:
+def _extract_metric(path: str, cols: dict, metric: str) -> float:
+    report = Path(path).parent / "report.json"
+    if report.is_file():
+        for row in json.loads(report.read_text())["points"]:
+            if row["avg_trace"] == Path(path).name:
+                if row[metric]["mean"] is None:
+                    raise InvalidParamError(f"{path}: no converged run to average")
+                return row[metric]["mean"]
     if metric == "n_total_max":
         return float(cols["n_total"].max())
     if metric == "n_diff_max":
@@ -190,9 +200,6 @@ def main(argv=None) -> int:
     except ConnectivityFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidParamError, ValidationError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NggError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -404,9 +404,10 @@ def ngmh_round(net: Network, pop: PopulationState, params: GameParams,
 def minimal_ng_round(net: Network, pop: PopulationState, params: GameParams,
                      rng: np.random.Generator) -> RoundOutcome:
     """Classic pairwise game on a uniform edge with a uniform orientation."""
-    edges = net.edges()
-    u, v = edges[int(rng.integers(len(edges)))]
-    speaker, hearer = (int(u), int(v)) if rng.random() < 0.5 else (int(v), int(u))
+    edges = net.edges().data  # a 2-D memoryview: items come back as ints
+    e = rng.integers(len(edges))
+    s = 0 if rng.random() < 0.5 else 1
+    speaker, hearer = edges[e, s], edges[e, 1 - s]
     word = speak(pop, speaker, params, rng)
     if word in pop.memories[hearer]:
         pop.adopt(hearer, word)
@@ -417,6 +418,34 @@ def minimal_ng_round(net: Network, pop: PopulationState, params: GameParams,
 
 
 _ROUNDS = {"ngg": run_group_round, "ngmh": ngmh_round, "minimal": minimal_ng_round}
+
+
+class _Draws:
+    """One run's random stream: a Generator with a fast scalar integers().
+
+    integers(n), for a plain int 0 < n <= 2**32, is numpy's Lemire method on
+    ctypes next_uint32, which shares the Generator's half-word buffer, so values
+    and state match; other calls are the Generator's. Skipping its lock is safe
+    in a one-run stream; default_rng(g) is g, so a passed g advances as before.
+    """
+
+    def __init__(self, seed):
+        self._gen = gen = np.random.default_rng(seed)  # owns self._state
+        self._next32 = gen.bit_generator.ctypes.next_uint32
+        self._state = gen.bit_generator.ctypes.state
+        self.random, self.choice = gen.random, gen.choice
+
+    def integers(self, n, size=None):
+        if size is not None or type(n) is not int or not 0 < n <= 1 << 32:
+            return self._gen.integers(n, size=size)  # numpy raises as before
+        if n == 1:
+            return 0  # numpy draws nothing here
+        m = self._next32(self._state) * n
+        if m & 0xFFFFFFFF < n:
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32(self._state) * n
+        return m >> 32
 
 
 def run_to_convergence(net: Network, params: GameParams, seed):
@@ -431,21 +460,20 @@ def run_to_convergence(net: Network, params: GameParams, seed):
     params.validate()
     if params.n > net.m:
         raise InvalidParamError(f"n={params.n} exceeds network size {net.m}")
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     pop = PopulationState(net.m)
+    m, counts = net.m, pop._counts
     round_fn = _ROUNDS[params.mode]
     trace = Trace()
     n_total, n_diff, sr, group_size, n_transmitted = (
         c.append for c in trace.columns)
-    word = None
     for _ in range(params.max_iterations):
         outcome = round_fn(net, pop, params, rng)
-        n_total(pop.total_words)
-        n_diff(pop.distinct_words)
+        n_total(total := pop.total_words)
+        n_diff(distinct := len(counts))
         sr(outcome.sr)
         group_size(outcome.group_size)
         n_transmitted(len(outcome.transmitted))
-        word = pop.converged_word()
-        if word is not None:
+        if total == m and distinct == 1:
             break
-    return trace, summarize(trace, net.m, converged_word=word)
+    return trace, summarize(trace, m, converged_word=pop.converged_word())

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -159,8 +160,9 @@ def _as_int(value, where: str, minimum: Optional[int] = None) -> int:
 
 
 def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(where, f"expected a number, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValidationError(where, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -321,15 +323,18 @@ def _job(args):
 
 def _worker_count(cfg: ExperimentConfig) -> int:
     env = os.environ.get("NGG_PARALLELISM")
-    if env is None:
-        return cfg.parallelism
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValidationError("NGG_PARALLELISM", f"not an integer: {env!r}")
-    if value < 1:
-        raise ValidationError("NGG_PARALLELISM", f"must be >= 1, got {value}")
-    return value
+    value = cfg.parallelism
+    if env is not None:
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValidationError("NGG_PARALLELISM", f"not an integer: {env!r}")
+        if value < 1:
+            raise ValidationError("NGG_PARALLELISM", f"must be >= 1, got {value}")
+    cpus = os.cpu_count() or 1
+    if value > cpus:
+        print(f"note: using {cpus} of {value} workers, one per CPU", file=sys.stderr)
+    return min(value, cpus)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None):

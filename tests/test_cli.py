@@ -243,6 +243,65 @@ def test_plot_metric_vs_beta_requires_metric_and_x(tmp_path, traces, capsys):
                  "--out", str(tmp_path / "c.svg")]) == 2
 
 
+@pytest.mark.parametrize("metric", ["n_iter_cvg", "n_total_max", "n_diff_max"])
+def test_plot_metric_vs_beta_reads_averages_from_report(tmp_path, monkeypatch,
+                                                        metric):
+    cfg = write_config(tmp_path, sweep={"betas": [0.5, 1.0]})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    plotted = []
+    monkeypatch.setattr("ngg.cli.render_line_chart",
+                        lambda series, **kw: plotted.extend(series) or "<svg/>")
+    assert main(["plot", "--kind", "metric-vs-beta", "--metric", metric,
+                 "--inputs", str(out / "point001_avg.csv"),
+                 str(out / "point000_avg.csv"), "--x", "1.0", "0.5",
+                 "--out", str(tmp_path / "m.svg")]) == 0
+    points = json.loads((out / "report.json").read_text())["points"]
+    (_, xs, ys), = plotted
+    assert xs == [0.5, 1.0]
+    assert ys == [row[metric]["mean"] for row in points]
+
+
+def test_plot_metric_vs_beta_without_converged_run_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, game={"n": 3, "beta": 0.5,
+                                       "max_iterations": 1})
+    out = tmp_path / "capped"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 4
+    avg = str(out / "point000_avg.csv")
+    assert main(["plot", "--kind", "metric-vs-beta", "--metric", "n_iter_cvg",
+                 "--inputs", avg, "--x", "0.5",
+                 "--out", str(tmp_path / "m.svg")]) == 2
+    assert avg in capsys.readouterr().err
+    assert not (tmp_path / "m.svg").exists()
+
+
+def test_plot_metric_vs_beta_rejects_foreign_report(tmp_path, capsys, traces):
+    runs = Path(traces[0]).parent
+    (runs / "report.json").write_text('{"points": [{"trace": 1}]}')
+    assert main(["plot", "--kind", "metric-vs-beta", "--metric", "n_iter_cvg",
+                 "--inputs", str(runs / "point000_avg.csv"), "--x", "0.5",
+                 "--out", str(tmp_path / "m.svg")]) == 2
+    assert "report.json" in capsys.readouterr().err
+
+
+def test_plot_failed_write_leaves_no_file(tmp_path, monkeypatch, traces):
+    # the disk fills up after the first 5 characters of the chart
+    real_open = builtins.open
+
+    def failing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return HalfFile(fh, 5) if "chart.svg" in str(path) else fh
+
+    plots = tmp_path / "plots"
+    plots.mkdir()
+    monkeypatch.setattr(builtins, "open", failing_open)
+    with pytest.raises(OSError):
+        main(["plot", "--kind", "sr", "--inputs", *traces,
+              "--out", str(plots / "chart.svg")])
+    monkeypatch.undo()
+    assert list(plots.iterdir()) == []
+
+
 def test_plot_rejects_foreign_csv(tmp_path, capsys):
     alien = tmp_path / "alien.csv"
     alien.write_text("time,value\n1,2\n")

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngg.engine import (
     GameParams,
     Group,
     PopulationState,
+    _Draws,
     _ngmh_apply,
     form_group,
     minimal_ng_round,
@@ -73,6 +76,21 @@ def test_population_counters_track_mutations():
     pop.learn(2, 5)
     assert pop.converged_word() == 5
     assert pop.recount() == (3, 1)
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 4), st.integers(0, 6)),
+                max_size=60))
+def test_population_counters_match_recount(ops):
+    pop = PopulationState(5)
+    for adopt, agent, word in ops:
+        if adopt:
+            pop.adopt(agent, word)
+        elif not pop.has(agent, word):
+            pop.learn(agent, word)
+        assert (pop.total_words, pop.distinct_words) == pop.recount()
+        held = {tuple(mem) for mem in pop.memories}
+        single = len(held) == 1 and len(next(iter(held))) == 1
+        assert pop.converged_word() == (next(iter(held))[0] if single else None)
 
 
 def test_adopt_word_not_previously_held():
@@ -631,3 +649,68 @@ def test_trace_matches_snapshot_loop(mode):
         assert len(trace) == len(records) == summary.iterations
         assert list(trace) == records
         assert all(type(a) is type(b) for a, b in zip(trace, records))
+
+
+# ----------------------------------------------------------------------
+# The run's random stream
+# ----------------------------------------------------------------------
+
+# numpy rejects about a quarter of the draws at 2**31 + 1.
+_BOUNDS = (st.sampled_from([1, 2, 3, 2**31, 2**31 + 1, 2**32 - 1, 2**32,
+                            2**32 + 1, 2**40])
+           | st.integers(1, 2**32 - 1))
+_WEIGHTS = st.lists(st.integers(1, 9), min_size=1, max_size=8)
+# The calls the engine makes on a run's stream, plus integers() at the
+# edges of numpy's 32-bit path.
+_DRAWS = st.one_of(
+    st.tuples(st.just("integers"), _BOUNDS),
+    st.tuples(st.just("integers_sized"), _BOUNDS, st.integers(0, 5)),
+    st.tuples(st.just("random")),
+    st.tuples(st.just("random_k"), st.integers(0, 6)),
+    st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.just("choice"), st.just(n), st.integers(0, n))),
+    st.tuples(st.just("choice_p"), _WEIGHTS, st.integers(1, 16)),
+)
+
+
+def _draw(stream, call):
+    kind, *args = call
+    if kind == "integers":
+        return int(stream.integers(args[0]))
+    if kind == "integers_sized":
+        return stream.integers(args[0], size=args[1]).tolist()
+    if kind == "random":
+        return stream.random()
+    if kind == "random_k":
+        return stream.random(args[0]).tolist()
+    if kind == "choice":
+        n, size = args
+        return stream.choice(np.arange(n) * 3, size=size, replace=False).tolist()
+    weights, size = args
+    p = np.asarray(weights) / sum(weights)
+    return stream.choice(len(weights), size=size, replace=True, p=p).tolist()
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(_DRAWS, max_size=40))
+def test_draws_match_generator(seed, calls):
+    draws, gen = _Draws(seed), np.random.default_rng(seed)
+    for call in calls:
+        assert _draw(draws, call) == _draw(gen, call), call
+    assert draws._gen.bit_generator.state == gen.bit_generator.state
+
+
+def test_draws_advance_a_passed_generator():
+    gen, ref = rng(3), rng(3)
+    draws = _Draws(gen)
+    assert [draws.integers(1000) for _ in range(5)] == [
+        int(ref.integers(1000)) for _ in range(5)]
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_draws_reject_empty_range_as_numpy_does(n):
+    with pytest.raises(ValueError, match="high <= 0"):
+        rng(0).integers(n)
+    with pytest.raises(ValueError, match="high <= 0"):
+        _Draws(0).integers(n)

@@ -5,8 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from ngg import metrics
+from ngg import harness, metrics
 from ngg.errors import ParseError, ValidationError
 from ngg.harness import (
     ExperimentConfig,
@@ -123,6 +125,50 @@ def test_parse_rejects_bad_configs(mutate, field):
     with pytest.raises(ValidationError) as exc:
         parse_config(raw)
     assert exc.value.field == field
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_NETWORKS = ({"model": "rg", "m": 12, "p": 0.4},
+             {"model": "ws", "m": 12, "k": 2, "rp": 0.2},
+             {"model": "ba", "m": 12, "n0": 3, "e": 2})
+# Every key of a full config, as a path from the root; () is the root.
+_PATHS = [(), ("network",), ("network", "model"), ("network", "m"),
+          ("network", "p"), ("network", "k"), ("network", "rp"),
+          ("network", "n0"), ("network", "e"), ("game",), ("game", "n"),
+          ("game", "beta"), ("game", "mode"), ("game", "max_iterations"),
+          ("game", "vocabulary"), ("game", "group_size_basis"),
+          ("repetitions",), ("master_seed",), ("output_dir",), ("sweep",),
+          ("sweep", "betas"), ("sweep", "group_sizes"), ("sweep", "modes"),
+          ("fixed_network",), ("parallelism",)]
+
+
+@given(st.sampled_from(_NETWORKS), st.sampled_from(_PATHS), st.booleans(), _JSON)
+@example(_NETWORKS[0], ("game", "beta"), False, 10**400)
+def test_parse_config_raises_only_validation_error(network, path, drop, value):
+    raw = base_raw(network=dict(network), output_dir="o", fixed_network=False,
+                   parallelism=1, sweep={"betas": [0.5], "group_sizes": [3],
+                                         "modes": ["ngg"]})
+    raw["game"].update(max_iterations=10, vocabulary=4,
+                       group_size_basis="actual")
+    if not path:
+        raw = value
+    else:
+        *parents, key = path
+        owner = raw
+        for name in parents:
+            owner = owner[name]
+        if drop:
+            owner.pop(key, None)
+        else:
+            owner[key] = value
+    try:
+        parse_config(raw)
+    except ValidationError:
+        pass
 
 
 def test_parse_boolean_is_not_a_number():
@@ -290,6 +336,39 @@ def test_parallelism_env_validation(tmp_path, monkeypatch):
         monkeypatch.setenv("NGG_PARALLELISM", bad)
         with pytest.raises(ValidationError):
             run_experiment(cfg, tmp_path)
+
+
+class _RecordingPool:
+    """A stand-in ProcessPoolExecutor that records its size and runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("env, parallelism", [("64", 1), (None, 64)])
+def test_worker_count_clamped_to_cpus(tmp_path, monkeypatch, capsys, env,
+                                      parallelism):
+    if env is None:
+        monkeypatch.delenv("NGG_PARALLELISM", raising=False)
+    else:
+        monkeypatch.setenv("NGG_PARALLELISM", env)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.sizes.clear()
+    run_experiment(small_cfg(parallelism=parallelism), tmp_path)
+    assert _RecordingPool.sizes == [2]
+    assert "using 2 of 64 workers" in capsys.readouterr().err
 
 
 def test_fixed_network_pins_topology_across_runs():
