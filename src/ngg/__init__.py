@@ -19,13 +19,27 @@ from .engine import (GameParams, Group, PopulationState, RoundOutcome,
 from .errors import (ConfigError, ConnectivityFailureError, DisconnectedError,
                      EmptyTraceError, InvalidParamError, NggError, ParseError,
                      UnknownSourceError, ValidationError)
-from .harness import (ExperimentConfig, RunArtifact, SweepSpec, derive_seed,
-                      load_config, parse_config, run_experiment)
+from .harness import (ExperimentConfig, SweepSpec, derive_seed, load_config,
+                      parse_config, run_experiment)
 from .metrics import (AggregateStats, AvgTraceRecord, RunSummary, Trace,
                       TraceRecord, aggregate_summaries, average_runs,
-                      read_trace_columns, read_trace_csv, snapshot, summarize,
-                      write_trace_csv)
+                      read_trace_columns, summarize, write_trace_csv)
 from .netgen import (Network, NetworkSpec, NetworkStats, compute_stats,
                      generate, is_connected, read_edge_list, write_edge_list)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The README's library API and the building blocks it names.
+__all__ = [
+    "GameParams", "Group", "PopulationState", "RoundOutcome", "WeightTable",
+    "form_group", "minimal_ng_round", "ngmh_round", "run_group_round",
+    "run_to_convergence", "select_transmitting_words", "speak",
+    "transmit_count", "transmit_word", "word_weights", "ConfigError",
+    "ConnectivityFailureError", "DisconnectedError", "EmptyTraceError",
+    "InvalidParamError", "NggError", "ParseError", "UnknownSourceError",
+    "ValidationError", "ExperimentConfig", "SweepSpec", "derive_seed",
+    "load_config", "parse_config", "run_experiment", "AggregateStats",
+    "AvgTraceRecord", "RunSummary", "Trace", "TraceRecord",
+    "aggregate_summaries", "average_runs", "read_trace_columns", "summarize",
+    "write_trace_csv", "Network", "NetworkSpec", "NetworkStats",
+    "compute_stats", "generate", "is_connected", "read_edge_list",
+    "write_edge_list",
+]

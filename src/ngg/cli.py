@@ -106,7 +106,7 @@ def _cmd_experiment(args, expect_sweep: bool) -> int:
         raise ValidationError("sweep", "config declares a sweep; use `ngg sweep`")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    _, report = run_experiment(cfg, out_dir=args.out)
+    report = run_experiment(cfg, out_dir=args.out)
     worst = 0
     for row in report["points"]:
         cvg = row["n_iter_cvg"]
@@ -170,13 +170,21 @@ def _cmd_plot(args) -> int:
 
 
 def _extract_metric(path: str, cols: dict, metric: str) -> float:
+    """The report.json row's value for an averaged or a single-run trace
+    beside it (null n_iter_cvg: nothing converged), else the trace's own."""
     report = Path(path).parent / "report.json"
+    name = Path(path).name
     if report.is_file():
         for row in json.loads(report.read_text())["points"]:
-            if row["avg_trace"] == Path(path).name:
+            if row["avg_trace"] == name:
                 if row[metric]["mean"] is None:
                     raise InvalidParamError(f"{path}: no converged run to average")
                 return row[metric]["mean"]
+            for run in row["runs_detail"]:
+                if run["trace"] == name:
+                    if run[metric] is None:
+                        raise InvalidParamError(f"{path}: the run never converged")
+                    return float(run[metric])
     if metric == "n_total_max":
         return float(cols["n_total"].max())
     if metric == "n_diff_max":

@@ -84,6 +84,10 @@ class GameParams:
             raise InvalidParamError(
                 f"group_size_basis must be one of {GROUP_SIZE_BASES}")
 
+    def basis(self, group_size: int) -> int:
+        """The group size that beta*N and the feedback n_succ/N divide by."""
+        return self.n if self.group_size_basis == "nominal" else group_size
+
 
 class PopulationState:
     """Memories of all M agents plus bookkeeping for O(1) global metrics.
@@ -109,9 +113,6 @@ class PopulationState:
     @property
     def distinct_words(self) -> int:
         return len(self._counts)
-
-    def has(self, agent: int, word: int) -> bool:
-        return word in self.memories[agent]
 
     def learn(self, agent: int, word: int) -> None:
         """Append a word the agent does not already hold."""
@@ -276,8 +277,7 @@ def word_weights(group: Group, spoken: dict, net: Network) -> WeightTable:
 
 def transmit_count(params: GameParams, actual_size: int) -> int:
     """How many words one round broadcasts: max(1, round(beta * basis))."""
-    basis = params.n if params.group_size_basis == "nominal" else actual_size
-    return max(1, int(np.floor(params.beta * basis + 0.5)))
+    return max(1, int(np.floor(params.beta * params.basis(actual_size) + 0.5)))
 
 
 def select_transmitting_words(wt: WeightTable, params: GameParams,
@@ -358,7 +358,7 @@ def run_group_round(net: Network, pop: PopulationState, params: GameParams,
     spoken = _speak_all(pop, members, params, rng)
     wt = word_weights(group, spoken, net)
     picks = select_transmitting_words(wt, params, len(members), rng)
-    basis = params.n if params.group_size_basis == "nominal" else len(members)
+    basis = params.basis(len(members))
     unsuccessful = set(members)
     heard = 0
     for w in picks:
@@ -397,8 +397,7 @@ def ngmh_round(net: Network, pop: PopulationState, params: GameParams,
     """Single-speaker group round: the seed alone speaks one word."""
     group = form_group(net, params.n, rng)
     word = speak(pop, group.seed, params, rng)
-    basis = params.n if params.group_size_basis == "nominal" else len(group.members)
-    return _ngmh_apply(group, word, pop, basis)
+    return _ngmh_apply(group, word, pop, params.basis(len(group.members)))
 
 
 def minimal_ng_round(net: Network, pop: PopulationState, params: GameParams,
@@ -476,4 +475,4 @@ def run_to_convergence(net: Network, params: GameParams, seed):
         n_transmitted(len(outcome.transmitted))
         if total == m and distinct == 1:
             break
-    return trace, summarize(trace, m, converged_word=pop.converged_word())
+    return trace, summarize(trace, pop.converged_word())

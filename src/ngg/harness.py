@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import product
 from pathlib import Path
@@ -35,8 +35,8 @@ import numpy as np
 from . import __version__
 from .engine import MODES, GameParams, run_to_convergence
 from .errors import InvalidParamError, ParseError, ValidationError
-from .metrics import (AggregateStats, RunSummary, aggregate_summaries,
-                      average_runs, write_atomic, write_trace_csv)
+from .metrics import (AggregateStats, aggregate_summaries, average_runs,
+                      write_atomic, write_trace_csv)
 from .netgen import NetworkSpec, generate
 
 # ----------------------------------------------------------------------
@@ -287,38 +287,22 @@ def load_config(path) -> ExperimentConfig:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class RunArtifact:
-    point_index: int
-    run_index: int
-    derived_seed: int
-    trace_path: str
-    summary: RunSummary
-    params: GameParams = field(repr=False, default=None)
-
-
 def _net_seed_for(cfg: ExperimentConfig, point_index: int, run_index: int):
     # fixed_network pins every run of a point to the run-0 network stream
     run = 0 if cfg.fixed_network else run_index
     return _run_streams(derive_seed(cfg.master_seed, point_index, run))[0]
 
 
-def _execute_run(cfg: ExperimentConfig, point_index: int, run_index: int,
-                 params: GameParams):
+def _job(args):
+    """One run: build its network, play to convergence, time both."""
+    cfg, point_index, run_index, params = args
+    start = time.perf_counter()
     seed = derive_seed(cfg.master_seed, point_index, run_index)
     net = generate(cfg.network, np.random.default_rng(
         _net_seed_for(cfg, point_index, run_index)))
-    game_stream = _run_streams(seed)[1]
-    records, summary = run_to_convergence(net, params, game_stream)
-    return records, summary, seed
-
-
-def _job(args):
-    cfg, point_index, run_index, params = args
-    start = time.perf_counter()
-    records, summary, seed = _execute_run(cfg, point_index, run_index, params)
+    trace, summary = run_to_convergence(net, params, _run_streams(seed)[1])
     wall_s = time.perf_counter() - start
-    return point_index, run_index, records, summary, seed, wall_s
+    return trace, summary, seed, wall_s
 
 
 def _worker_count(cfg: ExperimentConfig) -> int:
@@ -340,10 +324,11 @@ def _worker_count(cfg: ExperimentConfig) -> int:
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Execute every (point, repetition) run and write all artifacts.
 
-    Returns (artifacts, report dict). Capped runs are flagged in their report
-    row, never raised; callers decide what non-convergence means. Timing
-    (each run's network build plus game, in seconds) goes only into the
-    report's metadata, so every other artifact is reproducible byte for byte.
+    Returns the report dict that report.json holds. Capped runs are flagged
+    in their report row, never raised; callers decide what non-convergence
+    means. Timing (each run's network build plus game, in seconds) goes only
+    into the report's metadata, so every other artifact is reproducible byte
+    for byte.
     """
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -358,27 +343,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
             results = list(pool.map(_job, jobs, chunksize=1))
     else:
         results = [_job(j) for j in jobs]
-
-    by_point = {pi: {} for pi in range(len(points))}
-    for pi, ri, *result in results:
-        by_point[pi][ri] = result
-
-    artifacts = []
+    results = iter(results)  # in job order: point by point, run by run
     point_rows = []
     runs_meta = []
     for pi, params in enumerate(points):
         traces, summaries = [], []
         runs_detail = []
         for ri in range(cfg.repetitions):
-            records, summary, seed, wall_s = by_point[pi][ri]
+            trace, summary, seed, wall_s = next(results)
             runs_meta.append({"point": pi, "run": ri,
                               "iterations": summary.iterations,
                               "wall_s": wall_s})
             name = f"point{pi:03d}_run{ri:03d}.csv"
-            write_trace_csv(records, out / name)
-            artifacts.append(RunArtifact(pi, ri, seed, str(out / name),
-                                         summary, params))
-            traces.append(records)
+            write_trace_csv(trace, out / name)
+            traces.append(trace)
             summaries.append(summary)
             runs_detail.append({
                 "run": ri,
@@ -407,7 +385,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     }
     write_atomic(out / "report.json",
                  json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return artifacts, report
+    return report
 
 
 def _point_row(pi: int, params: GameParams, agg: AggregateStats,

@@ -54,10 +54,6 @@ class AvgTraceRecord:
     n_transmitted: float
 
 
-# array typecodes of the columns, in COLUMNS order, per record type
-_TYPECODES = {TraceRecord: "qqdqq", AvgTraceRecord: "ddddd"}
-
-
 class Trace:
     """A trace as columns: entry i of every column is iteration i + 1.
 
@@ -72,7 +68,7 @@ class Trace:
 
     def __init__(self, columns: Optional[tuple] = None):
         if columns is None:
-            columns = tuple(array(code) for code in _TYPECODES[TraceRecord])
+            columns = tuple(array(code) for code in "qqdqq")
         if len(columns) != len(COLUMNS) or len({len(c) for c in columns}) != 1:
             raise ValueError(
                 f"a trace has {len(COLUMNS)} columns of one length, got "
@@ -100,34 +96,13 @@ class Trace:
             yield record(i, *row)
 
     def __eq__(self, other):
-        if isinstance(other, Trace):
-            return self._record is other._record and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.arrays(), other.arrays()))
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self._record is other._record and all(
+            np.array_equal(a, b) for a, b in zip(self.arrays(), other.arrays()))
 
     def __repr__(self) -> str:
         return f"Trace(<{len(self)} {self._record.__name__}s>)"
-
-
-def as_trace(records) -> Trace:
-    """A Trace itself, or a sequence of records converted to columns once.
-
-    The records must all be TraceRecords or all AvgTraceRecords, numbered
-    1, 2, ... in order, because a Trace keeps the iteration implicit.
-    """
-    if isinstance(records, Trace):
-        return records
-    records = list(records)
-    kind = type(records[0]) if records else TraceRecord
-    for i, r in enumerate(records, 1):
-        if type(r) is not kind or r.iteration != i:
-            raise ValueError(
-                f"record {i - 1} is not {kind.__name__} of iteration {i}: {r!r}")
-    return Trace(tuple(array(code, [getattr(r, f) for r in records])
-                       for code, f in zip(_TYPECODES[kind], COLUMNS)))
 
 
 @dataclass(frozen=True)
@@ -171,24 +146,23 @@ def snapshot(pop, outcome, iteration: int) -> TraceRecord:
     )
 
 
-def summarize(records, m: int, converged_word: Optional[int] = None) -> RunSummary:
-    """Collapse a trace into its maxima and convergence point.
+def summarize(trace: Trace, converged_word: Optional[int]) -> RunSummary:
+    """Collapse a run's trace into its maxima and convergence point.
 
-    Convergence at iteration t is read off the trace: n_total == M with a
-    single distinct word forces every memory to hold exactly that word.
+    converged_word is the consensus word, or None for a run that hit the
+    cap. The engine decides convergence and stops at the first converged
+    round, so a converged run converged at its last iteration.
     """
-    trace = as_trace(records)
     if not len(trace):
         raise EmptyTraceError("cannot summarise a run with no iterations")
     n_total, n_diff = trace.arrays()[:2]
-    hits = np.flatnonzero((n_total == m) & (n_diff == 1))
-    n_iter = int(hits[0]) + 1 if hits.size else None
+    converged = converged_word is not None
     return RunSummary(
         n_total_max=int(n_total.max()),
         n_diff_max=int(n_diff.max()),
-        n_iter_cvg=n_iter,
-        converged=n_iter is not None,
-        converged_word=converged_word if n_iter is not None else None,
+        n_iter_cvg=len(trace) if converged else None,
+        converged=converged,
+        converged_word=converged_word,
         iterations=len(trace),
     )
 
@@ -198,7 +172,7 @@ def summarize(records, m: int, converged_word: Optional[int] = None) -> RunSumma
 # ----------------------------------------------------------------------
 
 
-def average_runs(traces, m: int) -> Trace:
+def average_runs(traces: list, m: int) -> Trace:
     """Pointwise mean trace over several runs of the same experiment point.
 
     Shorter (already converged) runs are padded to the longest length with
@@ -207,7 +181,6 @@ def average_runs(traces, m: int) -> Trace:
     added column by column in the order given, starting from zero, so each
     mean is the same float as a row-by-row sum would give.
     """
-    traces = [as_trace(t) for t in traces]
     if not traces or any(not len(t) for t in traces):
         raise EmptyTraceError("average_runs needs non-empty traces")
     longest = max(len(t) for t in traces)
@@ -268,25 +241,15 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def write_trace_csv(records, path) -> None:
+def write_trace_csv(trace: Trace, path) -> None:
     """Persist a trace (a run's or an averaged one), atomically.
 
     The format is that of the csv module's default dialect: CRLF line
     ends, ints written with str, floats with their shortest round-trip repr.
     """
-    trace = as_trace(records)
     rows = zip(range(1, len(trace) + 1), *(a.tolist() for a in trace.arrays()))
     write_atomic(path, ",".join(TRACE_FIELDS) + "\r\n" + "".join(
         [f"{i},{a},{b},{c},{d},{e}\r\n" for i, a, b, c, d, e in rows]))
-
-
-def read_trace_csv(path) -> Trace:
-    """Read a run's trace CSV back (integer counts, iterations 1, 2, ...)."""
-    cols = read_trace_columns(path)
-    if not np.array_equal(cols["iteration"], np.arange(1, len(cols["iteration"]) + 1)):
-        raise ValueError(f"{path}: iterations are not numbered 1, 2, ...")
-    return Trace(tuple(cols[f] if code == "d" else cols[f].astype(np.int64)
-                       for f, code in zip(COLUMNS, _TYPECODES[TraceRecord])))
 
 
 def read_trace_columns(path) -> dict:

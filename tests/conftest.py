@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import os
+from array import array
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 import ngg
 from ngg.engine import _ROUNDS, PopulationState
 from ngg.errors import DisconnectedError
-from ngg.metrics import TRACE_FIELDS, AvgTraceRecord, snapshot
+from ngg.metrics import TRACE_FIELDS, AvgTraceRecord, Trace, snapshot
 from ngg.netgen import Network, NetworkSpec, NetworkStats
 
 
@@ -250,6 +251,28 @@ def snapshot_run(net: Network, params, seed) -> list:
         if pop.converged_word() is not None:
             break
     return records
+
+
+def make_trace(records) -> Trace:
+    """A Trace of TraceRecords (int columns) or AvgTraceRecords (float ones),
+    which must be numbered 1, 2, ... in order."""
+    records = list(records)
+    assert [r.iteration for r in records] == list(range(1, len(records) + 1))
+    codes = "ddddd" if records and type(records[0]) is AvgTraceRecord else "qqdqq"
+    return Trace(tuple(array(code, [getattr(r, f) for r in records])
+                       for code, f in zip(codes, TRACE_FIELDS[1:])))
+
+
+def oracle_n_iter_cvg(n_total, n_diff, m: int):
+    """First 1-based iteration with n_total == m and n_diff == 1, else None.
+
+    The convergence rule read back off a trace's columns: M words in all
+    with one distinct word means every memory holds exactly that word.
+    """
+    for iteration, (total, diff) in enumerate(zip(n_total, n_diff), 1):
+        if total == m and diff == 1:
+            return iteration
+    return None
 
 
 def oracle_average_runs(traces, m: int) -> list:

@@ -260,6 +260,13 @@ def test_plot_metric_vs_beta_reads_averages_from_report(tmp_path, monkeypatch,
     (_, xs, ys), = plotted
     assert xs == [0.5, 1.0]
     assert ys == [row[metric]["mean"] for row in points]
+    # a single run's trace takes that run's row of runs_detail
+    plotted.clear()
+    assert main(["plot", "--kind", "metric-vs-beta", "--metric", metric,
+                 "--inputs", str(out / "point001_run001.csv"), "--x", "1.0",
+                 "--out", str(tmp_path / "r.svg")]) == 0
+    (_, xs, ys), = plotted
+    assert ys == [points[1]["runs_detail"][1][metric]]
 
 
 def test_plot_metric_vs_beta_without_converged_run_exits_2(tmp_path, capsys):
@@ -267,12 +274,14 @@ def test_plot_metric_vs_beta_without_converged_run_exits_2(tmp_path, capsys):
                                        "max_iterations": 1})
     out = tmp_path / "capped"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 4
-    avg = str(out / "point000_avg.csv")
-    assert main(["plot", "--kind", "metric-vs-beta", "--metric", "n_iter_cvg",
-                 "--inputs", avg, "--x", "0.5",
-                 "--out", str(tmp_path / "m.svg")]) == 2
-    assert avg in capsys.readouterr().err
-    assert not (tmp_path / "m.svg").exists()
+    capsys.readouterr()
+    # the point's average, and one of its capped runs
+    for path in (str(out / "point000_avg.csv"), str(out / "point000_run000.csv")):
+        assert main(["plot", "--kind", "metric-vs-beta", "--metric",
+                     "n_iter_cvg", "--inputs", path, "--x", "0.5",
+                     "--out", str(tmp_path / "m.svg")]) == 2
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "m.svg").exists()
 
 
 def test_plot_metric_vs_beta_rejects_foreign_report(tmp_path, capsys, traces):

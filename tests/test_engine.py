@@ -31,6 +31,7 @@ from conftest import (
     net_from_edges,
     node_weights,
     oracle_group_weights,
+    oracle_n_iter_cvg,
     pair_weight,
     path_net,
     snapshot_run,
@@ -85,7 +86,7 @@ def test_population_counters_match_recount(ops):
     for adopt, agent, word in ops:
         if adopt:
             pop.adopt(agent, word)
-        elif not pop.has(agent, word):
+        elif word not in pop.memories[agent]:
             pop.learn(agent, word)
         assert (pop.total_words, pop.distinct_words) == pop.recount()
         held = {tuple(mem) for mem in pop.memories}
@@ -571,6 +572,7 @@ def test_minimal_two_agents_converge_first_round():
     for seed in range(20):
         records, summary = run_to_convergence(net, params, seed)
         assert summary.converged and summary.n_iter_cvg == 1
+        assert summary.converged_word == 0   # the first fresh word
         assert records[0].n_total == 2 and records[0].n_diff == 1
 
 
@@ -642,13 +644,17 @@ def test_converged_word():
 @pytest.mark.parametrize("mode", ["ngg", "ngmh", "minimal"])
 def test_trace_matches_snapshot_loop(mode):
     net = generate(NetworkSpec("ws", 30, k=2, rp=0.2), rng(5))
-    params = GameParams(n=5, beta=0.5, mode=mode)
-    for seed in range(3):
+    # 5 rounds reach at most 25 of the 30 agents: that run is capped
+    for cap, seed in ((1_000_000, 0), (1_000_000, 1), (1_000_000, 2), (5, 0)):
+        params = GameParams(n=5, beta=0.5, mode=mode, max_iterations=cap)
         trace, summary = run_to_convergence(net, params, seed)
         records = snapshot_run(net, params, seed)
         assert len(trace) == len(records) == summary.iterations
         assert list(trace) == records
         assert all(type(a) is type(b) for a, b in zip(trace, records))
+        n_total, n_diff = trace.arrays()[:2]
+        assert summary.n_iter_cvg == oracle_n_iter_cvg(n_total, n_diff, net.m)
+        assert summary.converged == (cap > 5)
 
 
 # ----------------------------------------------------------------------

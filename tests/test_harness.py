@@ -20,8 +20,10 @@ from ngg.harness import (
     parse_config,
     run_experiment,
 )
-from ngg.metrics import read_trace_csv, summarize
+from ngg.metrics import read_trace_columns
 from ngg.netgen import generate
+
+from conftest import oracle_n_iter_cvg
 
 
 def base_raw(**over):
@@ -229,14 +231,14 @@ def small_cfg(**over):
 
 def test_run_experiment_artifacts(tmp_path):
     cfg = small_cfg()
-    artifacts, report = run_experiment(cfg, tmp_path)
+    report = run_experiment(cfg, tmp_path)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == [
         "point000_avg.csv", "point000_run000.csv", "point000_run001.csv",
         "point001_avg.csv", "point001_run000.csv", "point001_run001.csv",
         "report.json",
     ]
-    assert len(artifacts) == 4
+    assert sum(len(row["runs_detail"]) for row in report["points"]) == 4
     assert report["tool"] == "ngg"
     assert report["master_seed"] == 42
     assert len(report["points"]) == 2
@@ -250,18 +252,20 @@ def test_run_experiment_artifacts(tmp_path):
 
 def test_report_rows_match_persisted_traces(tmp_path):
     cfg = small_cfg()
-    _, report = run_experiment(cfg, tmp_path)
+    report = run_experiment(cfg, tmp_path)
     for row in report["points"]:
         cvg, totals = [], []
         for detail in row["runs_detail"]:
-            records = read_trace_csv(tmp_path / detail["trace"])
-            s = summarize(records, cfg.network.m)
-            assert s.converged == detail["converged"]
-            assert s.n_iter_cvg == detail["n_iter_cvg"]
-            assert s.n_total_max == detail["n_total_max"]
-            totals.append(s.n_total_max)
-            if s.n_iter_cvg is not None:
-                cvg.append(s.n_iter_cvg)
+            cols = read_trace_columns(tmp_path / detail["trace"])
+            n_iter = oracle_n_iter_cvg(cols["n_total"], cols["n_diff"],
+                                       cfg.network.m)
+            assert (n_iter is not None) == detail["converged"]
+            assert n_iter == detail["n_iter_cvg"]
+            assert cols["n_total"].max() == detail["n_total_max"]
+            assert cols["n_diff"].max() == detail["n_diff_max"]
+            totals.append(int(cols["n_total"].max()))
+            if n_iter is not None:
+                cvg.append(n_iter)
         assert row["n_total_max"]["mean"] == np.mean(totals)
         assert row["converged_runs"] == len(cvg)
         if cvg:
@@ -298,14 +302,14 @@ def test_parallel_matches_sequential(tmp_path, monkeypatch):
 
 def test_report_metadata_lists_every_run(tmp_path):
     cfg = small_cfg()
-    _, report = run_experiment(cfg, tmp_path)
+    report = run_experiment(cfg, tmp_path)
     runs = report["metadata"]["runs"]
     assert [(r["point"], r["run"]) for r in runs] == [
         (pi, ri) for pi in range(2) for ri in range(2)]
     for r in runs:
         row = report["points"][r["point"]]["runs_detail"][r["run"]]
-        trace = read_trace_csv(tmp_path / row["trace"])
-        assert r["iterations"] == len(trace)
+        trace = read_trace_columns(tmp_path / row["trace"])
+        assert r["iterations"] == len(trace["iteration"])
         assert isinstance(r["wall_s"], float) and r["wall_s"] > 0.0
     on_disk = json.loads((tmp_path / "report.json").read_text())
     assert on_disk["metadata"]["runs"] == runs
@@ -389,7 +393,7 @@ def test_unconverged_runs_flagged_not_raised(tmp_path):
     raw = base_raw()
     raw["game"]["max_iterations"] = 1
     cfg = parse_config(raw)
-    _, report = run_experiment(cfg, tmp_path)
+    report = run_experiment(cfg, tmp_path)
     row = report["points"][0]
     assert row["converged_runs"] == 0
     assert row["convergence_rate"] == 0.0

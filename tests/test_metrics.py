@@ -19,14 +19,18 @@ from ngg.metrics import (
     aggregate_summaries,
     average_runs,
     read_trace_columns,
-    read_trace_csv,
     snapshot,
     summarize,
     write_trace_csv,
 )
 from ngg.netgen import NetworkSpec, generate
 
-from conftest import HalfFile, oracle_average_runs, oracle_write_trace_csv
+from conftest import (
+    HalfFile,
+    make_trace,
+    oracle_average_runs,
+    oracle_write_trace_csv,
+)
 
 
 def rec(it, total, diff, sr=0.0, size=4, nt=2):
@@ -52,7 +56,7 @@ def small_run(mode="ngg", seed=3):
 
 def test_trace_indexing_slicing_and_iteration():
     records = random_records(np.random.default_rng(0), 7)
-    trace = metrics.as_trace(records)
+    trace = make_trace(records)
     assert len(trace) == 7
     assert trace[0] == records[0] and trace[-1] == records[-1]
     assert trace[-7] == records[0]
@@ -60,7 +64,8 @@ def test_trace_indexing_slicing_and_iteration():
     assert trace[::3] == records[::3]   # iterations of a strided slice kept
     assert trace[:100] == records
     assert list(trace) == records
-    assert trace == records and trace == metrics.as_trace(records)
+    assert trace == make_trace(records) and trace != make_trace(records[:-1])
+    assert trace != records   # a Trace equals only a Trace
     for bad in (7, -8):
         with pytest.raises(IndexError):
             trace[bad]
@@ -73,14 +78,6 @@ def test_run_trace_yields_trace_records():
     assert [r.iteration for r in trace] == list(range(1, len(trace) + 1))
     assert trace[-1].n_total == 25 and trace[-1].n_diff == 1
     assert summary.iterations == len(trace)
-
-
-def test_as_trace_rejects_misnumbered_or_mixed_records():
-    with pytest.raises(ValueError):
-        metrics.as_trace([TraceRecord(2, 1, 1, 0.0, 2, 1)])
-    with pytest.raises(ValueError):
-        metrics.as_trace([TraceRecord(1, 1, 1, 0.0, 2, 1),
-                          AvgTraceRecord(2, 1.0, 1.0, 0.0, 2.0, 1.0)])
 
 
 def test_trace_survives_pickle():
@@ -110,39 +107,35 @@ def test_snapshot_reads_counters_and_outcome():
 
 
 def test_summarize_maxima_and_convergence_point():
-    records = [
+    # a converged run ends at its first round with n_total == m, n_diff == 1
+    trace = make_trace([
         rec(1, 6, 4),
         rec(2, 9, 5),
         rec(3, 7, 2),
-        rec(4, 4, 1),   # first n_total == m and n_diff == 1
-        rec(5, 4, 1),
-    ]
-    s = summarize(records, 4, converged_word=3)
-    assert s.n_total_max == 9
-    assert s.n_diff_max == 5
-    assert s.n_iter_cvg == 4
-    assert s.converged
-    assert s.converged_word == 3
-    assert s.iterations == 5
+        rec(4, 4, 1),
+    ])
+    for word in (3, 0):   # word 0 is a consensus word too
+        s = summarize(trace, converged_word=word)
+        assert s.n_total_max == 9
+        assert s.n_diff_max == 5
+        assert s.n_iter_cvg == 4
+        assert s.converged
+        assert s.converged_word == word
+        assert s.iterations == 4
 
 
 def test_summarize_unconverged():
-    records = [rec(1, 6, 4), rec(2, 4, 2)]
-    s = summarize(records, 4, converged_word=None)
+    trace = make_trace([rec(1, 6, 4), rec(2, 4, 2)])
+    s = summarize(trace, converged_word=None)
     assert not s.converged
     assert s.n_iter_cvg is None
     assert s.converged_word is None
-
-
-def test_summarize_single_word_but_incomplete_is_not_convergence():
-    # n_diff == 1 alone is not enough: some memory is empty or duplicated
-    s = summarize([rec(1, 3, 1)], 4)
-    assert not s.converged
+    assert s.iterations == 2
 
 
 def test_summarize_rejects_empty_trace():
     with pytest.raises(EmptyTraceError):
-        summarize([], 4)
+        summarize(Trace(), None)
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +145,7 @@ def test_summarize_rejects_empty_trace():
 
 def test_average_identical_traces_is_identity():
     t = [rec(1, 5, 3, 0.25, 4, 2), rec(2, 4, 1, 1.0, 3, 2)]
-    avg = average_runs([t, t, t], m=4)
+    avg = average_runs([make_trace(t)] * 3, m=4)
     assert len(avg) == 2
     for a, r in zip(avg, t):
         assert a.iteration == r.iteration
@@ -167,7 +160,7 @@ def test_average_pads_short_runs_with_absorbed_state():
     fast = [rec(1, 6, 3, 0.0, 5, 3), rec(2, 4, 1, 1.0, 3, 3)]
     slow = [rec(1, 6, 5, 0.0, 4, 3), rec(2, 7, 4, 0.5, 4, 3),
             rec(3, 5, 2, 0.5, 4, 3), rec(4, 4, 1, 1.0, 4, 3)]
-    avg = average_runs([fast, slow], m=4)
+    avg = average_runs([make_trace(fast), make_trace(slow)], m=4)
     assert len(avg) == 4
     # iteration 3: fast run contributes its absorbed state (m, 1, sr=1)
     assert avg[2].n_total == (4 + 5) / 2
@@ -179,20 +172,13 @@ def test_average_pads_short_runs_with_absorbed_state():
 
 
 def test_average_is_order_invariant():
-    a = [rec(1, 5, 2, 0.5, 4, 2)]
-    b = [rec(1, 3, 3, 0.0, 2, 2), rec(2, 4, 1, 1.0, 2, 2)]
-    c = [rec(1, 9, 6, 0.25, 5, 2), rec(2, 8, 3, 0.5, 5, 2), rec(3, 4, 1, 1.0, 5, 2)]
+    a = make_trace([rec(1, 5, 2, 0.5, 4, 2)])
+    b = make_trace([rec(1, 3, 3, 0.0, 2, 2), rec(2, 4, 1, 1.0, 2, 2)])
+    c = make_trace([rec(1, 9, 6, 0.25, 5, 2), rec(2, 8, 3, 0.5, 5, 2),
+                    rec(3, 4, 1, 1.0, 5, 2)])
     one = average_runs([a, b, c], m=4)
     two = average_runs([c, a, b], m=4)
     assert one == two
-
-
-def test_average_of_traces_equals_average_of_record_lists():
-    traces = [small_run(seed=s)[0] for s in range(4)]
-    from_traces = average_runs(traces, m=25)
-    from_lists = average_runs([list(t) for t in traces], m=25)
-    assert from_traces == from_lists
-    assert list(from_traces) == list(from_lists)
 
 
 def test_average_matches_row_loop_bit_for_bit():
@@ -200,7 +186,7 @@ def test_average_matches_row_loop_bit_for_bit():
     for _ in range(20):
         runs = [random_records(r, int(r.integers(1, 40)))
                 for _ in range(int(r.integers(1, 6)))]
-        got = average_runs(runs, m=50)
+        got = average_runs([make_trace(t) for t in runs], m=50)
         want = oracle_average_runs(runs, 50)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -213,7 +199,7 @@ def test_average_rejects_empty_input():
     with pytest.raises(EmptyTraceError):
         average_runs([], m=4)
     with pytest.raises(EmptyTraceError):
-        average_runs([[rec(1, 2, 1)], []], m=4)
+        average_runs([make_trace([rec(1, 2, 1)]), Trace()], m=4)
 
 
 # ----------------------------------------------------------------------
@@ -270,22 +256,24 @@ def test_single_run_std_is_zero():
 def test_trace_csv_roundtrip(tmp_path):
     records = [rec(1, 6, 4, 0.0, 5, 2), rec(2, 4, 1, 0.75, 4, 2)]
     path = tmp_path / "trace.csv"
-    write_trace_csv(records, path)
+    write_trace_csv(make_trace(records), path)
     text = path.read_text()
     assert text.splitlines()[0] == ",".join(TRACE_FIELDS)
-    assert read_trace_csv(path) == records
+    cols = read_trace_columns(path)
+    for f in TRACE_FIELDS:
+        assert cols[f].tolist() == [getattr(r, f) for r in records]
 
 
 def test_trace_csv_byte_stable(tmp_path):
-    records = [rec(1, 6, 4, 1 / 3, 5, 2), rec(2, 4, 1, 2 / 3, 4, 2)]
+    trace = make_trace([rec(1, 6, 4, 1 / 3, 5, 2), rec(2, 4, 1, 2 / 3, 4, 2)])
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_trace_csv(records, p1)
-    write_trace_csv(records, p2)
+    write_trace_csv(trace, p1)
+    write_trace_csv(trace, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_avg_trace_csv_roundtrip(tmp_path):
-    avg = [AvgTraceRecord(1, 5.5, 2.25, 0.125, 4.5, 2.0)]
+    avg = make_trace([AvgTraceRecord(1, 5.5, 2.25, 0.125, 4.5, 2.0)])
     path = tmp_path / "avg.csv"
     write_trace_csv(avg, path)
     cols = read_trace_columns(path)
@@ -297,7 +285,8 @@ def test_avg_trace_csv_roundtrip(tmp_path):
 
 def test_trace_csv_bytes_match_csv_writer(tmp_path):
     r = np.random.default_rng(4)
-    runs = [random_records(r, int(r.integers(1, 60))) for _ in range(5)]
+    runs = [make_trace(random_records(r, int(r.integers(1, 60))))
+            for _ in range(5)]
     traces = [*runs, small_run()[0], small_run("minimal")[0]]
     traces.append(average_runs(runs, m=50))
     for i, t in enumerate(traces):
@@ -310,7 +299,7 @@ def test_trace_csv_bytes_match_csv_writer(tmp_path):
 
 def test_read_trace_columns_equals_float_parse(tmp_path):
     r = np.random.default_rng(6)
-    runs = [random_records(r, 30) for _ in range(3)]
+    runs = [make_trace(random_records(r, 30)) for _ in range(3)]
     path = tmp_path / "avg.csv"
     write_trace_csv(average_runs(runs, m=50), path)
     rows = path.read_text().splitlines()[1:]
@@ -320,16 +309,9 @@ def test_read_trace_columns_equals_float_parse(tmp_path):
         assert cols[f].tobytes() == want[:, i].tobytes()
 
 
-def test_read_trace_csv_rejects_misnumbered_iterations(tmp_path):
-    path = tmp_path / "gap.csv"
-    path.write_text(",".join(TRACE_FIELDS) + "\n1,4,2,0.5,2,1\n3,4,1,1.0,2,1\n")
-    with pytest.raises(ValueError):
-        read_trace_csv(path)
-
-
 def test_header_only_trace_reads_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    write_trace_csv([], path)
+    write_trace_csv(Trace(), path)
     assert all(len(c) == 0 for c in read_trace_columns(path).values())
 
 
