@@ -44,13 +44,13 @@ def main():
     beta_series, cvg_by_beta = [], []
     for beta in (0.1, 0.5, 1.0):
         avg, agg = sweep_point(GameParams(n=20, beta=beta), master=100)
-        print(f"beta={beta:<4} N=20  iter_cvg={agg.n_iter_cvg_mean:7.1f} "
-              f"+/- {agg.n_iter_cvg_std:6.1f}   "
-              f"n_total_max={agg.n_total_max_mean:7.1f}")
+        print(f"beta={beta:<4} N=20  iter_cvg={agg['n_iter_cvg']['mean']:7.1f} "
+              f"+/- {agg['n_iter_cvg']['std']:6.1f}   "
+              f"n_total_max={agg['n_total_max']['mean']:7.1f}")
         beta_series.append((f"beta={beta}",
                             [r.iteration for r in avg],
                             [r.n_total for r in avg]))
-        cvg_by_beta.append((beta, agg.n_iter_cvg_mean))
+        cvg_by_beta.append((beta, agg['n_iter_cvg']['mean']))
     save("sweep_beta_total.svg", beta_series,
          title="total words held vs iteration",
          xlabel="iteration", ylabel="n_total")
@@ -58,9 +58,9 @@ def main():
     n_series = []
     for n in (10, 20, 50):
         avg, agg = sweep_point(GameParams(n=n, beta=0.5), master=200)
-        print(f"beta=0.5  N={n:<3} iter_cvg={agg.n_iter_cvg_mean:7.1f} "
-              f"+/- {agg.n_iter_cvg_std:6.1f}   "
-              f"n_diff_max={agg.n_diff_max_mean:7.1f}")
+        print(f"beta=0.5  N={n:<3} iter_cvg={agg['n_iter_cvg']['mean']:7.1f} "
+              f"+/- {agg['n_iter_cvg']['std']:6.1f}   "
+              f"n_diff_max={agg['n_diff_max']['mean']:7.1f}")
         n_series.append((f"N={n}",
                          [r.iteration for r in avg],
                          [r.n_diff for r in avg]))

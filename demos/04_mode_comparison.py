@@ -38,8 +38,9 @@ def main():
             traces.append(records)
             summaries.append(summary)
         agg = aggregate_summaries(summaries)
-        print(f"{mode:<8} converged {agg.converged_runs}/{REPS}  "
-              f"iter_cvg={agg.n_iter_cvg_mean:9.1f} +/- {agg.n_iter_cvg_std:8.1f}")
+        cvg = agg["n_iter_cvg"]
+        print(f"{mode:<8} converged {agg['converged_runs']}/{REPS}  "
+              f"iter_cvg={cvg['mean']:9.1f} +/- {cvg['std']:8.1f}")
         avg = average_runs(traces, M)
         step = max(1, len(avg) // 400)  # thin long traces for the plot
         series.append((mode,

@@ -26,7 +26,7 @@ from .errors import (ConnectivityFailureError, InvalidParamError, NggError,
                      ValidationError)
 from .harness import load_config, run_experiment
 from .metrics import read_trace_columns, write_atomic
-from .netgen import NetworkSpec, compute_stats, generate, write_edge_list
+from .netgen import KNOBS, NetworkSpec, compute_stats, generate, write_edge_list
 from .plotting import render_line_chart
 
 TRACE_KINDS = {"n-total": "n_total", "n-diff": "n_diff", "sr": "sr"}
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_net = sub.add_parser("net", help="generate a network")
-    p_net.add_argument("--model", required=True, choices=("rg", "ws", "ba"))
+    p_net.add_argument("--model", required=True, choices=tuple(KNOBS))
     p_net.add_argument("--m", required=True, type=int, help="number of nodes")
     p_net.add_argument("--p", type=float, help="rg edge probability")
     p_net.add_argument("--k", type=int, help="ws neighbours per side")
@@ -127,12 +127,6 @@ def _cmd_plot(args) -> int:
     if args.labels is not None and len(args.labels) != len(args.inputs):
         raise InvalidParamError("--labels count must match --inputs")
     labels = args.labels or [Path(p).stem for p in args.inputs]
-    columns = []
-    for path in args.inputs:
-        try:
-            columns.append(read_trace_columns(path))
-        except (ValueError, OSError) as exc:
-            raise InvalidParamError(str(exc))
 
     if args.kind == "metric-vs-beta":
         if args.metric is None or args.x is None:
@@ -141,8 +135,7 @@ def _cmd_plot(args) -> int:
         if len(args.x) != len(args.inputs):
             raise InvalidParamError("--x count must match --inputs")
         try:
-            values = [_extract_metric(path, cols, args.metric)
-                      for path, cols in zip(args.inputs, columns)]
+            values = [_extract_metric(path, args.metric) for path in args.inputs]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise InvalidParamError(f"unreadable report.json beside the inputs: {exc!r}")
         order = np.argsort(args.x, kind="stable")
@@ -155,8 +148,13 @@ def _cmd_plot(args) -> int:
     else:
         col = TRACE_KINDS[args.kind]
         log_y = False
-        series = [(labels[i], columns[i]["iteration"], columns[i][col])
-                  for i in range(len(columns))]
+        series = []
+        for label, path in zip(labels, args.inputs):
+            try:
+                columns = read_trace_columns(path)
+            except (ValueError, OSError) as exc:
+                raise InvalidParamError(str(exc))
+            series.append((label, columns["iteration"], columns[col]))
         xlabel = args.xlabel if args.xlabel is not None else "iteration"
         ylabel = col
 
@@ -169,27 +167,24 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _extract_metric(path: str, cols: dict, metric: str) -> float:
+def _extract_metric(path: str, metric: str) -> float:
     """The report.json row's value for an averaged or a single-run trace
-    beside it (null n_iter_cvg: nothing converged), else the trace's own."""
+    beside it; a trace that no report there names, or a null value (nothing
+    converged), is an error naming the file."""
     report = Path(path).parent / "report.json"
     name = Path(path).name
-    if report.is_file():
-        for row in json.loads(report.read_text())["points"]:
-            if row["avg_trace"] == name:
-                if row[metric]["mean"] is None:
-                    raise InvalidParamError(f"{path}: no converged run to average")
-                return row[metric]["mean"]
-            for run in row["runs_detail"]:
-                if run["trace"] == name:
-                    if run[metric] is None:
-                        raise InvalidParamError(f"{path}: the run never converged")
-                    return float(run[metric])
-    if metric == "n_total_max":
-        return float(cols["n_total"].max())
-    if metric == "n_diff_max":
-        return float(cols["n_diff"].max())
-    return float(cols["iteration"][-1])  # trace length = convergence iteration
+    rows = json.loads(report.read_text())["points"] if report.is_file() else []
+    for row in rows:
+        if row["avg_trace"] == name:
+            if row[metric]["mean"] is None:
+                raise InvalidParamError(f"{path}: no converged run to average")
+            return row[metric]["mean"]
+        for run in row["runs_detail"]:
+            if run["trace"] == name:
+                if run[metric] is None:
+                    raise InvalidParamError(f"{path}: the run never converged")
+                return float(run[metric])
+    raise InvalidParamError(f"{path}: no report.json beside it names this trace")
 
 
 # ----------------------------------------------------------------------

@@ -144,12 +144,6 @@ class PopulationState:
             return next(iter(self._counts))
         return None
 
-    def recount(self) -> tuple[int, int]:
-        """Recompute (total, distinct) from scratch; for verification only."""
-        total = sum(len(mem) for mem in self.memories)
-        distinct = len({w for mem in self.memories for w in mem})
-        return total, distinct
-
 
 @dataclass(frozen=True)
 class Group:

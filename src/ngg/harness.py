@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from itertools import product
 from pathlib import Path
@@ -35,9 +35,9 @@ import numpy as np
 from . import __version__
 from .engine import MODES, GameParams, run_to_convergence
 from .errors import InvalidParamError, ParseError, ValidationError
-from .metrics import (AggregateStats, aggregate_summaries, average_runs,
-                      write_atomic, write_trace_csv)
-from .netgen import NetworkSpec, generate
+from .metrics import (aggregate_summaries, average_runs, write_atomic,
+                      write_trace_csv)
+from .netgen import KNOBS, NetworkSpec, generate
 
 # ----------------------------------------------------------------------
 # Seed derivation
@@ -106,49 +106,51 @@ class ExperimentConfig:
         modes = self.sweep.modes or (self.game.mode,)
         sizes = self.sweep.group_sizes or (self.game.n,)
         betas = self.sweep.betas or (self.game.beta,)
-        return [
-            GameParams(n=n, beta=b, mode=mode,
-                       max_iterations=self.game.max_iterations,
-                       vocabulary=self.game.vocabulary,
-                       group_size_basis=self.game.group_size_basis)
-            for mode, n, b in product(modes, sizes, betas)
-        ]
+        return [replace(self.game, mode=mode, n=n, beta=b)
+                for mode, n, b in product(modes, sizes, betas)]
 
     def to_dict(self) -> dict:
         """Canonical echo with all defaults materialised (for the report)."""
-        d = {
-            "network": {"model": self.network.model, "m": self.network.m,
-                        **self.network.params()},
-            "game": {"n": self.game.n, "beta": self.game.beta,
-                     "mode": self.game.mode,
-                     "max_iterations": self.game.max_iterations,
-                     "vocabulary": self.game.vocabulary,
-                     "group_size_basis": self.game.group_size_basis},
-            "repetitions": self.repetitions,
-            "master_seed": self.master_seed,
-            "output_dir": self.output_dir,
-            "fixed_network": self.fixed_network,
-            "parallelism": self.parallelism,
-        }
-        if self.sweep is not None:
-            sw = {}
-            if self.sweep.betas is not None:
-                sw["betas"] = list(self.sweep.betas)
-            if self.sweep.group_sizes is not None:
-                sw["group_sizes"] = list(self.sweep.group_sizes)
-            if self.sweep.modes is not None:
-                sw["modes"] = list(self.sweep.modes)
-            d["sweep"] = sw
+        d = asdict(self)
+        d["network"] = {"model": self.network.model, "m": self.network.m,
+                        **self.network.params()}
+        sweep = d.pop("sweep")
+        if sweep is not None:
+            d["sweep"] = {k: list(v) for k, v in sweep.items() if v is not None}
         return d
 
 
-def _only_keys(obj: dict, where: str, required: tuple, optional: tuple = ()):
+def _only_keys(obj: dict, where: str, required, allowed) -> None:
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in allowed:
             raise ValidationError(f"{where}.{key}", "unknown key")
     for key in required:
         if key not in obj:
             raise ValidationError(f"{where}.{key}", "missing required key")
+
+
+def _build(cls, obj, where: str, checkers: dict):
+    """cls from a JSON object whose keys are fields of cls, each value
+    through its checker; a key left out takes its dataclass default."""
+    if not isinstance(obj, dict):
+        raise ValidationError(where, "must be an object")
+    _only_keys(obj, where,
+               [f.name for f in fields(cls) if f.default is MISSING],
+               [f.name for f in fields(cls)])
+    # top-level values are named bare: "repetitions", not "<root>.repetitions"
+    prefix = "" if where == "<root>" else f"{where}."
+    return cls(**{key: checkers[key](value, prefix + key)
+                  for key, value in obj.items()})
+
+
+def _validated(obj, where: str):
+    """obj once its validate() passes; an InvalidParamError is reported as
+    a ValidationError of the config field `where`."""
+    try:
+        obj.validate()
+    except InvalidParamError as exc:
+        raise ValidationError(where, str(exc)) from exc
+    return obj
 
 
 def _as_int(value, where: str, minimum: Optional[int] = None) -> int:
@@ -166,107 +168,92 @@ def _as_number(value, where: str) -> float:
     return float(value)
 
 
-def _as_type(value, kind: type, where: str, what: str):
-    if not isinstance(value, kind):
-        raise ValidationError(where, f"expected {what}, got {value!r}")
+def _as_type(kind: type, what: str):
+    def check(value, where: str):
+        if not isinstance(value, kind):
+            raise ValidationError(where, f"expected {what}, got {value!r}")
+        return value
+    return check
+
+
+def _as_mode(value, where: str) -> str:
+    if value not in MODES:  # a tuple, so an unhashable value compares unequal
+        raise ValidationError(where, f"unknown mode {value!r}")
     return value
+
+
+def _as_list_of(check):
+    def as_list(values, where: str) -> tuple:
+        if not isinstance(values, list) or not values:
+            raise ValidationError(where, "must be a non-empty list")
+        return tuple(check(v, where) for v in values)
+    return as_list
+
+
+def _as_network(obj, where: str) -> NetworkSpec:
+    if not isinstance(obj, dict):
+        raise ValidationError(where, "must be an object")
+    model = obj.get("model")
+    if model not in tuple(KNOBS):  # not the dict: model may be unhashable
+        raise ValidationError(f"{where}.model",
+                              f"must be one of {tuple(KNOBS)}, got {model!r}")
+    keys = ("model", "m") + KNOBS[model]
+    _only_keys(obj, where, keys, keys)
+    knobs = {name: (_as_number if name in ("p", "rp") else _as_int)(
+                 obj[name], f"{where}.{name}")
+             for name in KNOBS[model]}
+    m = _as_int(obj["m"], f"{where}.m")
+    return _validated(NetworkSpec(model=model, m=m, **knobs), where)
+
+
+def _as_game(obj, where: str) -> GameParams:
+    return _validated(_build(GameParams, obj, where, _GAME_CHECKS), where)
+
+
+def _as_sweep(obj, where: str) -> SweepSpec:
+    sweep = _build(SweepSpec, obj, where, _SWEEP_CHECKS)
+    if sweep == SweepSpec():
+        raise ValidationError(where, "must list at least one dimension")
+    return sweep
+
+
+_GAME_CHECKS = {
+    "n": _as_int,
+    "beta": _as_number,
+    "mode": _as_type(str, "a string"),
+    "max_iterations": _as_int,
+    "vocabulary": lambda v, where: None if v is None else _as_int(v, where),
+    "group_size_basis": _as_type(str, "a string"),
+}
+_SWEEP_CHECKS = {
+    "betas": _as_list_of(_as_number),
+    "group_sizes": _as_list_of(_as_int),
+    "modes": _as_list_of(_as_mode),
+}
+_CONFIG_CHECKS = {
+    "network": _as_network,
+    "game": _as_game,
+    "repetitions": lambda v, where: _as_int(v, where, minimum=1),
+    "master_seed": lambda v, where: _as_int(v, where, minimum=0),
+    "output_dir": _as_type(str, "a string"),
+    "sweep": _as_sweep,
+    "fixed_network": _as_type(bool, "true or false"),
+    "parallelism": lambda v, where: _as_int(v, where, minimum=1),
+}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a decoded JSON object; unknown keys anywhere are rejected."""
-    if not isinstance(raw, dict):
-        raise ValidationError("<root>", "top level must be a JSON object")
-    _only_keys(raw, "<root>", ("network", "game", "repetitions", "master_seed"),
-               ("output_dir", "sweep", "fixed_network", "parallelism"))
-
-    net_raw = raw["network"]
-    if not isinstance(net_raw, dict):
-        raise ValidationError("network", "must be an object")
-    model = net_raw.get("model")
-    if model not in ("rg", "ws", "ba"):
-        raise ValidationError("network.model", f"must be rg, ws or ba, got {model!r}")
-    per_model = {"rg": ("p",), "ws": ("k", "rp"), "ba": ("n0", "e")}[model]
-    _only_keys(net_raw, "network", ("model", "m") + per_model)
-    kwargs = {}
-    for name in per_model:
-        kwargs[name] = (_as_number(net_raw[name], f"network.{name}")
-                        if name in ("p", "rp")
-                        else _as_int(net_raw[name], f"network.{name}"))
-    spec = NetworkSpec(model=model, m=_as_int(net_raw["m"], "network.m"), **kwargs)
-    try:
-        spec.validate()
-    except InvalidParamError as exc:
-        raise ValidationError("network", str(exc)) from exc
-
-    game_raw = raw["game"]
-    if not isinstance(game_raw, dict):
-        raise ValidationError("game", "must be an object")
-    _only_keys(game_raw, "game", ("n", "beta"),
-               ("mode", "max_iterations", "vocabulary", "group_size_basis"))
-    vocab = game_raw.get("vocabulary")
-    game = GameParams(
-        n=_as_int(game_raw["n"], "game.n"),
-        beta=_as_number(game_raw["beta"], "game.beta"),
-        mode=game_raw.get("mode", "ngg"),
-        max_iterations=_as_int(game_raw.get("max_iterations", 1_000_000),
-                               "game.max_iterations"),
-        vocabulary=None if vocab is None else _as_int(vocab, "game.vocabulary"),
-        group_size_basis=game_raw.get("group_size_basis", "nominal"),
-    )
-    try:
-        game.validate()
-    except InvalidParamError as exc:
-        raise ValidationError("game", str(exc)) from exc
-    if game.n > spec.m:
-        raise ValidationError("game.n", f"exceeds network size m={spec.m}")
-
-    sweep = None
-    if "sweep" in raw:
-        sw_raw = raw["sweep"]
-        if not isinstance(sw_raw, dict):
-            raise ValidationError("sweep", "must be an object")
-        _only_keys(sw_raw, "sweep", (), ("betas", "group_sizes", "modes"))
-        if not sw_raw:
-            raise ValidationError("sweep", "must list at least one dimension")
-        fields = {}
-        for name, checker in (("betas", _as_number), ("group_sizes", _as_int),
-                              ("modes", None)):
-            if name not in sw_raw:
-                fields[name] = None
-                continue
-            values = sw_raw[name]
-            if not isinstance(values, list) or not values:
-                raise ValidationError(f"sweep.{name}", "must be a non-empty list")
-            if checker is None:
-                for v in values:
-                    if v not in MODES:
-                        raise ValidationError("sweep.modes", f"unknown mode {v!r}")
-                fields[name] = tuple(values)
-            else:
-                fields[name] = tuple(checker(v, f"sweep.{name}") for v in values)
-        sweep = SweepSpec(**fields)
-
-    cfg = ExperimentConfig(
-        network=spec,
-        game=game,
-        repetitions=_as_int(raw["repetitions"], "repetitions", minimum=1),
-        master_seed=_as_int(raw["master_seed"], "master_seed", minimum=0),
-        output_dir=_as_type(raw.get("output_dir", "ngg_out"), str, "output_dir",
-                            "a string"),
-        sweep=sweep,
-        fixed_network=_as_type(raw.get("fixed_network", False), bool,
-                               "fixed_network", "true or false"),
-        parallelism=_as_int(raw.get("parallelism", 1), "parallelism", minimum=1),
-    )
+    cfg = _build(ExperimentConfig, raw, "<root>", _CONFIG_CHECKS)
+    m = cfg.network.m
+    if cfg.game.n > m:
+        raise ValidationError("game.n", f"exceeds network size m={m}")
     # every sweep point must survive the same validation as the base game
     for params in cfg.sweep_points():
-        try:
-            params.validate()
-        except InvalidParamError as exc:
-            raise ValidationError("sweep", str(exc)) from exc
-        if params.n > spec.m:
+        _validated(params, "sweep")
+        if params.n > m:
             raise ValidationError("sweep.group_sizes",
-                                  f"{params.n} exceeds network size m={spec.m}")
+                                  f"{params.n} exceeds network size m={m}")
     return cfg
 
 
@@ -369,8 +356,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
             })
         avg_name = f"point{pi:03d}_avg.csv"
         write_trace_csv(average_runs(traces, cfg.network.m), out / avg_name)
-        agg = aggregate_summaries(summaries)
-        point_rows.append(_point_row(pi, params, agg, avg_name, runs_detail))
+        point_rows.append({
+            "point": pi,
+            "mode": params.mode,
+            "n": params.n,
+            "beta": params.beta,
+            **aggregate_summaries(summaries),
+            "unconverged_runs": [d["run"] for d in runs_detail
+                                 if not d["converged"]],
+            "avg_trace": avg_name,
+            "runs_detail": runs_detail,
+        })
 
     report = {
         "tool": "ngg",
@@ -386,22 +382,3 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     write_atomic(out / "report.json",
                  json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
-
-
-def _point_row(pi: int, params: GameParams, agg: AggregateStats,
-               avg_name: str, runs_detail: list) -> dict:
-    return {
-        "point": pi,
-        "mode": params.mode,
-        "n": params.n,
-        "beta": params.beta,
-        "runs": agg.n_runs,
-        "converged_runs": agg.converged_runs,
-        "convergence_rate": agg.convergence_rate,
-        "n_total_max": {"mean": agg.n_total_max_mean, "std": agg.n_total_max_std},
-        "n_diff_max": {"mean": agg.n_diff_max_mean, "std": agg.n_diff_max_std},
-        "n_iter_cvg": {"mean": agg.n_iter_cvg_mean, "std": agg.n_iter_cvg_std},
-        "unconverged_runs": [d["run"] for d in runs_detail if not d["converged"]],
-        "avg_trace": avg_name,
-        "runs_detail": runs_detail,
-    }

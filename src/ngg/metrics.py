@@ -115,25 +115,6 @@ class RunSummary:
     iterations: int
 
 
-@dataclass(frozen=True)
-class AggregateStats:
-    """Mean / sample standard deviation of the three run metrics.
-
-    n_iter_cvg statistics cover converged runs only; capped runs are counted
-    in n_runs and reflected in convergence_rate instead of polluting the mean.
-    """
-
-    n_runs: int
-    converged_runs: int
-    convergence_rate: float
-    n_total_max_mean: float
-    n_total_max_std: float
-    n_diff_max_mean: float
-    n_diff_max_std: float
-    n_iter_cvg_mean: Optional[float]
-    n_iter_cvg_std: Optional[float]
-
-
 def snapshot(pop, outcome, iteration: int) -> TraceRecord:
     """One trace record from the population counters and the round outcome."""
     return TraceRecord(
@@ -194,29 +175,31 @@ def average_runs(traces: list, m: int) -> Trace:
     return Trace(tuple(acc / k for acc in sums))
 
 
-def _mean_std(values) -> tuple:
+def _mean_std(values) -> dict:
     arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std
+    return {"mean": float(arr.mean()), "std": std}
 
 
-def aggregate_summaries(summaries) -> AggregateStats:
-    """Mean/std of run maxima plus convergence statistics for one point."""
+def aggregate_summaries(summaries) -> dict:
+    """The point statistics of a report row: run counts, and the mean and
+    sample standard deviation of each run metric.
+
+    n_iter_cvg covers converged runs only (mean and std are None when none
+    converged); capped runs are counted in runs and convergence_rate
+    instead of polluting the mean.
+    """
     if not summaries:
         raise EmptyTraceError("aggregate_summaries needs at least one run")
-    tm, ts = _mean_std([s.n_total_max for s in summaries])
-    dm, ds = _mean_std([s.n_diff_max for s in summaries])
     cvg = [s.n_iter_cvg for s in summaries if s.n_iter_cvg is not None]
-    im, istd = _mean_std(cvg) if cvg else (None, None)
-    return AggregateStats(
-        n_runs=len(summaries),
-        converged_runs=len(cvg),
-        convergence_rate=len(cvg) / len(summaries),
-        n_total_max_mean=tm, n_total_max_std=ts,
-        n_diff_max_mean=dm, n_diff_max_std=ds,
-        n_iter_cvg_mean=im, n_iter_cvg_std=istd,
-    )
+    return {
+        "runs": len(summaries),
+        "converged_runs": len(cvg),
+        "convergence_rate": len(cvg) / len(summaries),
+        "n_total_max": _mean_std([s.n_total_max for s in summaries]),
+        "n_diff_max": _mean_std([s.n_diff_max for s in summaries]),
+        "n_iter_cvg": _mean_std(cvg) if cvg else {"mean": None, "std": None},
+    }
 
 
 # ----------------------------------------------------------------------

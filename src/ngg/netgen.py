@@ -28,6 +28,8 @@ from .errors import (ConnectivityFailureError, DisconnectedError,
 from .metrics import write_atomic
 
 MAX_ATTEMPTS = 100
+# The network families and the knobs each one takes, in config order.
+KNOBS = {"rg": ("p",), "ws": ("k", "rp"), "ba": ("n0", "e")}
 
 # ----------------------------------------------------------------------
 # Specs and the Network container
@@ -53,14 +55,14 @@ class NetworkSpec:
     e: Optional[int] = None
 
     def validate(self) -> None:
-        if self.model not in ("rg", "ws", "ba"):
+        # a tuple, not the dict: an unhashable model is unknown, not a TypeError
+        if self.model not in tuple(KNOBS):
             raise InvalidParamError(f"unknown model {self.model!r}")
         if self.m < 2:
             raise InvalidParamError(f"m must be >= 2, got {self.m}")
         if self.model == "rg":
             if self.p is None or not (0.0 < self.p <= 1.0):
                 raise InvalidParamError(f"rg needs 0 < p <= 1, got {self.p}")
-            self._forbid(k=self.k, rp=self.rp, n0=self.n0, e=self.e)
         elif self.model == "ws":
             if self.k is None or self.k < 1:
                 raise InvalidParamError(f"ws needs k >= 1, got {self.k}")
@@ -69,7 +71,6 @@ class NetworkSpec:
                     f"ws needs 2k < m, got k={self.k} m={self.m}")
             if self.rp is None or not (0.0 <= self.rp <= 1.0):
                 raise InvalidParamError(f"ws needs 0 <= rp <= 1, got {self.rp}")
-            self._forbid(p=self.p, n0=self.n0, e=self.e)
         else:
             if self.n0 is None or self.e is None:
                 raise InvalidParamError("ba needs n0 and e")
@@ -79,18 +80,13 @@ class NetworkSpec:
             if self.n0 >= self.m:
                 raise InvalidParamError(
                     f"ba needs n0 < m, got n0={self.n0} m={self.m}")
-            self._forbid(p=self.p, k=self.k, rp=self.rp)
-
-    @staticmethod
-    def _forbid(**fields) -> None:
-        for name, value in fields.items():
-            if value is not None:
+        for name in itertools.chain.from_iterable(KNOBS.values()):
+            if name not in KNOBS[self.model] and getattr(self, name) is not None:
                 raise InvalidParamError(f"{name} does not apply to this model")
 
     def params(self) -> dict:
         """The model-relevant knobs as a plain dict (for JSON records)."""
-        names = {"rg": ("p",), "ws": ("k", "rp"), "ba": ("n0", "e")}[self.model]
-        return {n: getattr(self, n) for n in names}
+        return {n: getattr(self, n) for n in KNOBS[self.model]}
 
     def label(self) -> str:
         if self.model == "rg":

@@ -253,6 +253,14 @@ def snapshot_run(net: Network, params, seed) -> list:
     return records
 
 
+def oracle_recount(pop: PopulationState) -> tuple:
+    """(total, distinct) words recounted from the memories, for checking the
+    counters PopulationState keeps up to date."""
+    total = sum(len(mem) for mem in pop.memories)
+    distinct = len({w for mem in pop.memories for w in mem})
+    return total, distinct
+
+
 def make_trace(records) -> Trace:
     """A Trace of TraceRecords (int columns) or AvgTraceRecords (float ones),
     which must be numbered 1, 2, ... in order."""

@@ -2,6 +2,7 @@
 
 import builtins
 import json
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -279,6 +280,28 @@ def test_plot_metric_vs_beta_without_converged_run_exits_2(tmp_path, capsys):
     for path in (str(out / "point000_avg.csv"), str(out / "point000_run000.csv")):
         assert main(["plot", "--kind", "metric-vs-beta", "--metric",
                      "n_iter_cvg", "--inputs", path, "--x", "0.5",
+                     "--out", str(tmp_path / "m.svg")]) == 2
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "m.svg").exists()
+
+
+@pytest.mark.parametrize("metric", ["n_iter_cvg", "n_total_max", "n_diff_max"])
+def test_plot_metric_vs_beta_needs_a_report_naming_the_trace(tmp_path, capsys,
+                                                             metric):
+    cfg = write_config(tmp_path, network={"model": "rg", "m": 60, "p": 0.2},
+                       game={"n": 3, "beta": 0.5, "max_iterations": 5})
+    out = tmp_path / "capped"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 4
+    capsys.readouterr()
+    # a capped run's trace copied away from its report, and one that the
+    # report beside it does not name
+    away = tmp_path / "away"
+    away.mkdir()
+    shutil.copy(out / "point000_run000.csv", away)
+    shutil.copy(out / "point000_run000.csv", out / "renamed.csv")
+    for path in (str(away / "point000_run000.csv"), str(out / "renamed.csv")):
+        assert main(["plot", "--kind", "metric-vs-beta", "--metric", metric,
+                     "--inputs", path, "--x", "0.5",
                      "--out", str(tmp_path / "m.svg")]) == 2
         assert path in capsys.readouterr().err
         assert not (tmp_path / "m.svg").exists()

@@ -32,6 +32,7 @@ from conftest import (
     node_weights,
     oracle_group_weights,
     oracle_n_iter_cvg,
+    oracle_recount,
     pair_weight,
     path_net,
     snapshot_run,
@@ -69,14 +70,14 @@ def test_population_counters_track_mutations():
     pop.learn(1, 5)
     pop.learn(1, 7)
     assert (pop.total_words, pop.distinct_words) == (3, 2)
-    assert pop.recount() == (3, 2)
+    assert oracle_recount(pop) == (3, 2)
     pop.adopt(1, 5)  # drops 7, keeps 5
     assert pop.memories[1] == [5]
     assert (pop.total_words, pop.distinct_words) == (2, 1)
     assert pop.converged_word() is None  # agent 2 is still empty
     pop.learn(2, 5)
     assert pop.converged_word() == 5
-    assert pop.recount() == (3, 1)
+    assert oracle_recount(pop) == (3, 1)
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 4), st.integers(0, 6)),
@@ -88,7 +89,7 @@ def test_population_counters_match_recount(ops):
             pop.adopt(agent, word)
         elif word not in pop.memories[agent]:
             pop.learn(agent, word)
-        assert (pop.total_words, pop.distinct_words) == pop.recount()
+        assert (pop.total_words, pop.distinct_words) == oracle_recount(pop)
         held = {tuple(mem) for mem in pop.memories}
         single = len(held) == 1 and len(next(iter(held))) == 1
         assert pop.converged_word() == (next(iter(held))[0] if single else None)
@@ -100,7 +101,7 @@ def test_adopt_word_not_previously_held():
     pop.learn(0, 2)
     pop.adopt(0, 9)
     assert pop.memories[0] == [9]
-    assert pop.recount() == (pop.total_words, pop.distinct_words) == (1, 1)
+    assert oracle_recount(pop) == (pop.total_words, pop.distinct_words) == (1, 1)
 
 
 # ----------------------------------------------------------------------
@@ -464,7 +465,7 @@ def test_round_outcome_invariants_and_counters():
         assert outcome.sr == outcome.successful_members / outcome.group_size
         # every hearer success is a member leaving the unsuccessful set
         assert 0 <= outcome.heard <= outcome.successful_members
-    assert pop.recount() == (pop.total_words, pop.distinct_words)
+    assert oracle_recount(pop) == (pop.total_words, pop.distinct_words)
 
 
 def test_two_node_round_stays_small():

@@ -150,6 +150,10 @@ _PATHS = [(), ("network",), ("network", "model"), ("network", "m"),
 
 @given(st.sampled_from(_NETWORKS), st.sampled_from(_PATHS), st.booleans(), _JSON)
 @example(_NETWORKS[0], ("game", "beta"), False, 10**400)
+# unhashable values where the parser looks a name up
+@example(_NETWORKS[0], ("network", "model"), False, [])
+@example(_NETWORKS[0], ("game", "mode"), False, [])
+@example(_NETWORKS[0], ("sweep", "modes"), False, [[]])
 def test_parse_config_raises_only_validation_error(network, path, drop, value):
     raw = base_raw(network=dict(network), output_dir="o", fixed_network=False,
                    parallelism=1, sweep={"betas": [0.5], "group_sizes": [3],
@@ -204,6 +208,31 @@ def test_to_dict_echo_materialises_defaults():
     assert d["game"]["vocabulary"] is None
     assert d["fixed_network"] is False
     assert "sweep" not in d
+
+
+_SWEEPS = (None,
+           {"betas": [0.2, 0.9]},
+           {"betas": [0.2], "group_sizes": [3, 4]},
+           {"betas": [0.2, 1.0], "group_sizes": [4], "modes": ["minimal", "ngg"]})
+
+
+@pytest.mark.parametrize("network", _NETWORKS, ids=lambda n: n["model"])
+@pytest.mark.parametrize("optional", [False, True], ids=["bare", "every-key"])
+@pytest.mark.parametrize("sweep", _SWEEPS, ids=lambda s: f"{len(s or ())}d")
+def test_to_dict_roundtrips_through_parse_config(network, optional, sweep):
+    raw = base_raw(network=dict(network))
+    if optional:
+        raw.update(output_dir="elsewhere", fixed_network=True, parallelism=2)
+        raw["game"].update(mode="ngmh", max_iterations=50, vocabulary=4,
+                           group_size_basis="actual")
+    if sweep is not None:
+        raw["sweep"] = sweep
+    cfg = parse_config(raw)
+    echo = cfg.to_dict()
+    assert parse_config(echo) == cfg
+    assert parse_config(json.loads(json.dumps(echo))) == cfg
+    if optional:
+        assert echo == raw  # every key given: the echo is the input
 
 
 def test_load_config_rejects_bad_json(tmp_path):

@@ -215,27 +215,27 @@ def summary(total, diff, cvg):
 def test_aggregate_means_and_sample_std():
     s = aggregate_summaries([summary(10, 4, 7), summary(14, 6, 11),
                              summary(12, 5, 9)])
-    assert s.n_runs == 3 and s.converged_runs == 3
-    assert s.convergence_rate == 1.0
-    assert s.n_total_max_mean == 12.0
-    assert abs(s.n_total_max_std - statistics.stdev([10, 14, 12])) < 1e-12
-    assert s.n_diff_max_mean == 5.0
-    assert s.n_iter_cvg_mean == 9.0
-    assert abs(s.n_iter_cvg_std - statistics.stdev([7, 11, 9])) < 1e-12
+    assert s["runs"] == 3 and s["converged_runs"] == 3
+    assert s["convergence_rate"] == 1.0
+    assert s["n_total_max"]["mean"] == 12.0
+    assert abs(s["n_total_max"]["std"] - statistics.stdev([10, 14, 12])) < 1e-12
+    assert s["n_diff_max"]["mean"] == 5.0
+    assert s["n_iter_cvg"]["mean"] == 9.0
+    assert abs(s["n_iter_cvg"]["std"] - statistics.stdev([7, 11, 9])) < 1e-12
 
 
 def test_aggregate_skips_capped_runs_in_convergence_stats():
     s = aggregate_summaries([summary(10, 4, 8), summary(20, 9, None)])
-    assert s.n_runs == 2 and s.converged_runs == 1
-    assert s.convergence_rate == 0.5
-    assert s.n_iter_cvg_mean == 8.0 and s.n_iter_cvg_std == 0.0
-    assert s.n_total_max_mean == 15.0  # maxima still cover every run
+    assert s["runs"] == 2 and s["converged_runs"] == 1
+    assert s["convergence_rate"] == 0.5
+    assert s["n_iter_cvg"]["mean"] == 8.0 and s["n_iter_cvg"]["std"] == 0.0
+    assert s["n_total_max"]["mean"] == 15.0  # maxima still cover every run
 
 
 def test_aggregate_all_capped():
     s = aggregate_summaries([summary(10, 4, None)])
-    assert s.convergence_rate == 0.0
-    assert s.n_iter_cvg_mean is None and s.n_iter_cvg_std is None
+    assert s["convergence_rate"] == 0.0
+    assert s["n_iter_cvg"]["mean"] is None and s["n_iter_cvg"]["std"] is None
 
 
 def test_aggregate_rejects_empty():
@@ -245,7 +245,7 @@ def test_aggregate_rejects_empty():
 
 def test_single_run_std_is_zero():
     s = aggregate_summaries([summary(10, 4, 7)])
-    assert s.n_total_max_std == 0.0 and s.n_iter_cvg_std == 0.0
+    assert s["n_total_max"]["std"] == 0.0 and s["n_iter_cvg"]["std"] == 0.0
 
 
 # ----------------------------------------------------------------------
