@@ -122,8 +122,7 @@ class Network:
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbour ids of node i (cached per network)."""
         if self._neighbors is None:
-            self._neighbors = tuple(
-                np.flatnonzero(self.adj[j]) for j in range(self.m))
+            self._neighbors = tuple(map(np.flatnonzero, self.adj))
         return self._neighbors[i]
 
     def neighbor_masks(self) -> list:
@@ -246,30 +245,34 @@ def is_connected(adj: np.ndarray) -> bool:
     return bool(visited.all())
 
 
-def _reach_levels(adj: np.ndarray):
-    """Breadth-first search from every node at once, one matmul per level.
-
-    Yields (reach, walks) for k = 1, 2, ...: reach[i, j] is True iff j is at
-    most k hops from i; walks = reach_{k-1} @ adj in float32 (A at k = 1,
-    A^2 + A at k = 2). Stops once a level from k = 2 on reaches every pair
-    or adds none.
-    """
-    af = adj.astype(np.float32)
-    reach, walks = np.eye(adj.shape[0], dtype=bool), af
-    for k in itertools.count(1):
-        size = np.count_nonzero(reach)
-        reach = (walks > 0) | reach
-        yield reach, walks
-        if k >= 2 and np.count_nonzero(reach) in (size, reach.size):
+def _levels(net: Network):
+    """BFS from every node at once: yields reach for k = 1, 2, ... until a level
+    adds nothing; bit j of reach[i] is set iff j is at most k hops from i. Each
+    level ORs the last one's rows of i's neighbours into row i unless it is full."""
+    masks, full = net.neighbor_masks(), (1 << net.m) - 1
+    nbrs = [net.neighbors(i).tolist() for i in range(net.m)]
+    reach = [mask | 1 << i for i, mask in enumerate(masks)]
+    while True:
+        yield reach
+        prev, reach = reach, []
+        for row, nb in zip(prev, nbrs):
+            if row != full:
+                for j in nb:
+                    row |= prev[j]
+            reach.append(row)
+        if reach == prev:
             return
-        walks = reach.astype(np.float32) @ af
 
 
 def all_pairs_distances(adj: np.ndarray) -> np.ndarray:
     """Hop-count matrix (inf if unreachable): a pair's distance is the number
-    of levels, level 0 included, at which it is still unreached."""
-    dist = 1.0 - np.eye(adj.shape[0])
-    for reach, _ in _reach_levels(adj):
+    of levels, level 0 included, at which its bit is still clear."""
+    m, width = adj.shape[0], -(-adj.shape[0] // 8)
+    dist = 1.0 - np.eye(m)
+    for rows in _levels(Network(None, adj)):
+        packed = b"".join(row.to_bytes(width, "little") for row in rows)
+        reach = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(m, width),
+                              axis=1, count=m, bitorder="little") > 0
         dist += ~reach
     dist[~reach] = np.inf
     return dist
@@ -279,24 +282,21 @@ def compute_stats(net: Network) -> NetworkStats:
     """Average degree, average path length over unordered pairs, and the mean
     local clustering coefficient (nodes of degree < 2 contribute 0).
 
-    Both sums are exact integers: the ordered pairs still unreached after
-    each level add up to twice the path-length total, and the level-2 walks
-    (A^2 + A) on the edges count each node's degree plus twice its triangles.
-    Raises DisconnectedError if any pair is unreachable.
-    """
-    m = net.m
-    deg = net.degrees.astype(np.float64)
-    unreached = m * m - m  # level 0: every pair but the diagonal
-    for k, (reach, walks) in enumerate(_reach_levels(net.adj), 1):
-        unreached += m * m - int(np.count_nonzero(reach))
-        if k == 2:
-            triangles = ((walks * net.adj).sum(axis=1, dtype=np.float64) - deg) / 2
-    if not reach.all():
+    Both are exact integer sums of bit counts on the neighbour masks: the
+    ordered pairs still unreached at each BFS level, level 0 (all but i == j)
+    included, add up to twice the path length total, and popcount(mask_i &
+    mask_j) on each edge i < j, credited to both ends, counts each node's
+    triangles twice. Raises DisconnectedError if any pair is unreachable."""
+    m, masks, edges = net.m, net.neighbor_masks(), net.edges()
+    unreached = [m * m - sum(map(int.bit_count, reach)) for reach in _levels(net)]
+    if unreached[-1]:
         raise DisconnectedError("average path length needs a connected network")
-    possible = deg * (deg - 1.0) / 2.0
-    local = np.divide(triangles, possible, out=np.zeros(m), where=possible > 0)
+    shared = [(masks[u] & masks[v]).bit_count() for u, v in edges.tolist()]
+    twice = np.bincount(edges.ravel(), np.repeat(shared, 2), minlength=m)
+    deg = net.degrees.astype(np.float64)
+    local = np.divide(twice, deg * (deg - 1.0), out=np.zeros(m), where=deg > 1)
     return NetworkStats(avg_degree=float(deg.mean()),
-                        avg_path_length=unreached / (m * (m - 1)),
+                        avg_path_length=(m * m - m + sum(unreached)) / (m * (m - 1)),
                         clustering_coefficient=float(local.mean()))
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ngg.engine import GameParams, PopulationState, run_group_round
 from ngg.errors import (
     ConnectivityFailureError,
     DisconnectedError,
@@ -317,6 +318,56 @@ def test_distances_match_floyd_warshall():
                 else:
                     assert dist[i, j] == ref[i][j]
         assert is_connected(adj) == (not np.isinf(dist).any())
+
+
+# Sizes around the byte and 64-bit word edges of the packed neighbour masks.
+BIT_EDGE_SIZES = (2, 3, 7, 8, 9, 63, 64, 65, 127, 129)
+
+
+@pytest.mark.parametrize("m", BIT_EDGE_SIZES)
+def test_stats_equal_dense_oracle_at_bit_edges(m):
+    # 40 graphs per size with an expected degree from 0.5 to 5, so some are
+    # disconnected; there both must raise
+    r = rng(m)
+    raised = 0
+    for _ in range(40):
+        p = min(1.0, r.uniform(0.5, 5.0) / (m - 1))
+        adj = np.triu(r.random((m, m)) < p, 1)
+        net = Network(NetworkSpec("rg", m, p=p), adj | adj.T)
+        try:
+            want = oracle_compute_stats(net)
+        except DisconnectedError:
+            raised += 1
+            with pytest.raises(DisconnectedError):
+                compute_stats(net)
+        else:
+            assert compute_stats(net) == want
+    assert 0 < raised < 40
+
+
+@pytest.mark.parametrize("m", [63, 64, 65])
+def test_distances_match_floyd_warshall_at_word_edge(m):
+    r = rng(m)
+    for degree in (1.0, 3.0):  # small components, then a giant one
+        adj = np.triu(r.random((m, m)) < degree / (m - 1), 1)
+        adj = adj | adj.T
+        ref = floyd_warshall(adj)
+        want = np.array([[np.inf if d is None else d for d in row] for row in ref])
+        assert np.array_equal(all_pairs_distances(adj), want)
+
+
+@pytest.mark.parametrize("spec", [
+    NetworkSpec("rg", 129, p=0.05),
+    NetworkSpec("ws", 64, k=3, rp=0.2),
+    NetworkSpec("ba", 65, n0=4, e=3),
+], ids=lambda s: s.model)
+def test_stats_same_after_engine_filled_mask_cache(spec):
+    net = generate(spec, rng(4))
+    pop, r = PopulationState(net.m), rng(5)
+    for _ in range(20):
+        run_group_round(net, pop, GameParams(n=5, beta=0.5), r)
+    assert net._masks is not None
+    assert compute_stats(net) == compute_stats(Network(spec, net.adj.copy()))
 
 
 def test_stats_raise_on_disconnected():
