@@ -33,6 +33,17 @@ TRACE_KINDS = {"n-total": "n_total", "n-diff": "n_diff", "sr": "sr"}
 METRICS = ("n_total_max", "n_diff_max", "n_iter_cvg")
 
 
+def _seed(text: str) -> int:
+    """argparse type of every --seed: an integer >= 0, as numpy's generators
+    and a config's master_seed require."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ngg", description="naming game in groups on complex networks")
@@ -47,14 +58,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--rp", type=float, help="ws rewiring probability")
     p_net.add_argument("--n0", type=int, help="ba seed size")
     p_net.add_argument("--e", type=int, help="ba edges per new node")
-    p_net.add_argument("--seed", type=int, default=0)
+    p_net.add_argument("--seed", type=_seed, default=0)
     p_net.add_argument("--out", default=".", help="output directory")
 
     for name, help_ in (("run", "execute a config's base point"),
                         ("sweep", "execute a config's sweep")):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="experiment JSON")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the config's master_seed")
         p.add_argument("--out", default=None,
                        help="override the config's output_dir")

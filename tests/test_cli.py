@@ -13,6 +13,7 @@ import pytest
 
 from conftest import HalfFile, child_env, prepend
 from ngg.cli import main
+from ngg.harness import parse_config
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -104,6 +105,22 @@ def test_unknown_flag_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", "-70000", "x", "1.5", ""])
+@pytest.mark.parametrize("command", ["net", "run", "sweep"])
+def test_bad_seed_exits_2_naming_seed(tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    if command == "net":
+        argv = ["net", "--model", "rg", "--m", "10", "--p", "0.5"]
+    else:
+        over = {"sweep": {"betas": [0.5, 1.0]}} if command == "sweep" else {}
+        argv = [command, "--config", write_config(tmp_path, **over)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out), "--seed", seed])
+    assert exc.value.code == 2
+    assert "argument --seed: expected an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # run / sweep
 # ----------------------------------------------------------------------
@@ -155,6 +172,9 @@ def test_run_seed_flag_overrides_master_seed(tmp_path, capsys):
     t3 = (d3 / "point000_run000.csv").read_bytes()
     assert t2 != t1
     assert t2 == t3
+    config = json.loads((d2 / "report.json").read_text())["config"]
+    assert config["master_seed"] == 77
+    assert parse_config(config).master_seed == 77
 
 
 def test_run_unconverged_exits_4(tmp_path, capsys):
