@@ -18,6 +18,7 @@ connected by construction.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -135,8 +136,8 @@ class Network:
     def edges(self) -> np.ndarray:
         """(E, 2) array of edges with u < v, lexicographically sorted."""
         if self._edge_list is None:
-            u, v = np.nonzero(np.triu(self.adj, 1))
-            self._edge_list = np.column_stack([u, v])
+            u, v = np.divmod(np.flatnonzero(self.adj), self.m)
+            self._edge_list = np.column_stack([u, v])[u < v]
         return self._edge_list
 
 
@@ -245,20 +246,20 @@ def is_connected(adj: np.ndarray) -> bool:
     return bool(visited.all())
 
 
-def _levels(net: Network):
+def _levels(masks: list, nbrs: list):
     """BFS from every node at once: yields reach for k = 1, 2, ... until a level
     adds nothing; bit j of reach[i] is set iff j is at most k hops from i. Each
-    level ORs the last one's rows of i's neighbours into row i unless it is full."""
-    masks, full = net.neighbor_masks(), (1 << net.m) - 1
-    nbrs = [net.neighbors(i).tolist() for i in range(net.m)]
+    level ORs the last one's rows of i's neighbours into row i until it is full."""
+    full = (1 << len(masks)) - 1
     reach = [mask | 1 << i for i, mask in enumerate(masks)]
     while True:
         yield reach
         prev, reach = reach, []
         for row, nb in zip(prev, nbrs):
-            if row != full:
-                for j in nb:
-                    row |= prev[j]
+            for j in nb:
+                if row == full:
+                    break
+                row |= prev[j]
             reach.append(row)
         if reach == prev:
             return
@@ -267,12 +268,12 @@ def _levels(net: Network):
 def all_pairs_distances(adj: np.ndarray) -> np.ndarray:
     """Hop-count matrix (inf if unreachable): a pair's distance is the number
     of levels, level 0 included, at which its bit is still clear."""
-    m, width = adj.shape[0], -(-adj.shape[0] // 8)
+    m, net = adj.shape[0], Network(None, adj)
+    nbrs = [net.neighbors(i).tolist() for i in range(m)]
     dist = 1.0 - np.eye(m)
-    for rows in _levels(Network(None, adj)):
-        packed = b"".join(row.to_bytes(width, "little") for row in rows)
-        reach = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(m, width),
-                              axis=1, count=m, bitorder="little") > 0
+    for rows in _levels(net.neighbor_masks(), nbrs):
+        bits = "".join(format(row, f"0{m}b")[::-1] for row in rows)  # char j: bit j
+        reach = np.frombuffer(bits.encode(), np.uint8).reshape(m, m) == ord("1")
         dist += ~reach
     dist[~reach] = np.inf
     return dist
@@ -280,19 +281,21 @@ def all_pairs_distances(adj: np.ndarray) -> np.ndarray:
 
 def compute_stats(net: Network) -> NetworkStats:
     """Average degree, average path length over unordered pairs, and the mean
-    local clustering coefficient (nodes of degree < 2 contribute 0).
-
-    Both are exact integer sums of bit counts on the neighbour masks: the
-    ordered pairs still unreached at each BFS level, level 0 (all but i == j)
-    included, add up to twice the path length total, and popcount(mask_i &
-    mask_j) on each edge i < j, credited to both ends, counts each node's
-    triangles twice. Raises DisconnectedError if any pair is unreachable."""
-    m, masks, edges = net.m, net.neighbor_masks(), net.edges()
-    unreached = [m * m - sum(map(int.bit_count, reach)) for reach in _levels(net)]
+    local clustering coefficient (degree < 2 counts 0), from exact integer bit
+    counts: the pairs still unreached at each BFS level, level 0 included, sum
+    to twice the path total; each edge i < j credits popcount(mask_i & mask_j)
+    to both ends. Raises DisconnectedError if any pair is unreachable."""
+    m, masks = net.m, net.neighbor_masks()
+    nbrs = [net.neighbors(i).tolist() for i in range(m)]
+    unreached = [m * m - sum(map(int.bit_count, r)) for r in _levels(masks, nbrs)]
     if unreached[-1]:
         raise DisconnectedError("average path length needs a connected network")
-    shared = [(masks[u] & masks[v]).bit_count() for u, v in edges.tolist()]
-    twice = np.bincount(edges.ravel(), np.repeat(shared, 2), minlength=m)
+    twice = [0] * m  # each triangle at i is seen from both of its edges at i
+    for i, nb in enumerate(nbrs):
+        for j in nb[bisect_right(nb, i):]:
+            shared = (masks[i] & masks[j]).bit_count()
+            twice[i] += shared
+            twice[j] += shared
     deg = net.degrees.astype(np.float64)
     local = np.divide(twice, deg * (deg - 1.0), out=np.zeros(m), where=deg > 1)
     return NetworkStats(avg_degree=float(deg.mean()),
