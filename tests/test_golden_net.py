@@ -40,6 +40,20 @@ GOLDEN = {
         ["--model", "ba", "--m", "60", "--n0", "4", "--e", "3"],
         "52380b755c2b1f6e941be1dbff90ef63fe9c9365f4b93b27d0c0d5dcc431d410",
         "db48a84d02cf9edc9b47105a61d5e313cc91a3d3885e59893a4be596771b9ca0"),
+    # the first two samples are disconnected, so the third is built from
+    # where the second left the generator
+    "ws-30-retry": (
+        ["--model", "ws", "--m", "30", "--k", "1", "--rp", "0.5"],
+        "23a1dc02dd6e0b928a08c8f66ad734c3d100e35a37c418c4b5b5a453b5c1739d",
+        "a4f7ae2aa8852e1034e348e520502c3cff19f7b2db8271bacdbc4a25ae827c8e"),
+    "ws-60-rp1": (
+        ["--model", "ws", "--m", "60", "--k", "3", "--rp", "1.0"],
+        "a3d92c2ff78093726dea64d3be18056118c1cf4917516d02b5165bc30f00423e",
+        "5f5ae7f6588f437f80e54f91c39f49a4314cefd74e8212795cbe85dd6729fbb3"),
+    "rg-3": (
+        ["--model", "rg", "--m", "3", "--p", "0.9"],
+        "0b3cf00b23b6326ad092eee8085e08aae69de649967f0c67855d9d18a34aa5af",
+        "679288b2d68760fda9d549e0dd9bc47fab7d34c4ee03e73b3d429ac0f0799137"),
 }
 
 
