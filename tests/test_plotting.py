@@ -1,5 +1,6 @@
 """SVG chart rendering."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -52,3 +53,18 @@ def test_bad_series_rejected(series):
 def test_log_scale_rejects_nonpositive():
     with pytest.raises(InvalidParamError):
         render_line_chart([("s", [1, 2], [1.0, 0.0])], log_y=True)
+
+
+@pytest.mark.parametrize("log_y, digest", [
+    (False, "2deb068e8039a2968a58893a675ab207d13bf0bd02a1a20f6762880faf5bfad7"),
+    (True, "f81931a6b1389ed9778b0dc1680c7da9806ce86f1661c62cf08cf8058682739e"),
+])
+def test_sparse_series_svg_is_golden(log_y, digest):
+    # 300 points over the 658-px plot area: at most one per pixel column, so
+    # every point is drawn and the bytes stay those of the point-per-x writer
+    xs = list(range(1, 301))
+    series = [("a", xs, [1000.0 / i + i % 7 for i in xs]),
+              ("b", xs, [30.0 + i * 37 % 101 / 10 for i in xs])]
+    svg = render_line_chart(series, title="pin", xlabel="iteration",
+                            ylabel="v", log_y=log_y, desc="kind=pin")
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
