@@ -173,38 +173,74 @@ def _retry_connected(spec, rng, build) -> Network:
 
 
 def _random_graph(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    iu = np.triu_indices(m, 1)
-    hit = rng.random(iu[0].size) < p
+    # a boolean mask assigns in row-major order: the coins of np.triu_indices
     adj = np.zeros((m, m), dtype=bool)
-    adj[iu[0][hit], iu[1][hit]] = True
+    adj[np.triu(np.ones((m, m), dtype=bool), 1)] = rng.random(m * (m - 1) // 2) < p
     return adj | adj.T
 
 
 def _small_world(m: int, k: int, rp: float, rng: np.random.Generator) -> np.ndarray:
+    """Ring lattice, then rewire the far endpoint of each lattice edge (i, i+j),
+    j-major, with probability rp; i stays fixed and the new endpoint avoids
+    self-loops and present edges. The draws are those of the scalar loop
+    (`rng.random() < rp` per edge, `rng.integers(m)` until a free endpoint),
+    read from bit_generator.random_raw words as numpy computes them: random()
+    takes one word, (w >> 11) * 2**-53; integers(m) is Lemire's
+    multiply-and-reject on 32-bit halves, low half first and the high half kept
+    in the generator's has_uint32/uinteger buffer. Each block holds one word
+    per coin still to toss, so nothing is drawn that the scalar loop would not.
+    """
     adj = np.zeros((m, m), dtype=bool)
     for j in range(1, k + 1):
         idx = np.arange(m)
         adj[idx, (idx + j) % m] = True
         adj[(idx + j) % m, idx] = True
+    bg = rng.bit_generator
+    state = bg.state
+    if "has_uint32" not in state:  # MT19937: random() joins two 32-bit outputs
+        raise InvalidParamError(f"ws rewiring reads 64-bit words, which "
+                                f"{type(bg).__name__} does not give")
     if rp == 0.0:
         return adj
-    # Rewire the far endpoint of each original lattice edge (i, i+j), keeping
-    # i fixed; the new endpoint avoids self-loops and already-present edges.
-    for j in range(1, k + 1):
-        for i in range(m):
-            if rng.random() >= rp:
-                continue
-            old = (i + j) % m
-            if not adj[i, old]:
-                continue  # already rewired away by an earlier step
-            if np.count_nonzero(adj[i]) >= m - 1:
-                continue  # node is saturated, nowhere to rewire to
+    has, half = state["has_uint32"], state["uinteger"]
+    cell, deg = adj.reshape(-1).data, [2 * k] * m  # cell[i * m + j] is adj[i, j]
+    threshold = ((1 << 32) - m) % m
+
+    def next32():
+        nonlocal has, half, p
+        if has:
+            has = 0
+            return half
+        if p < len(words):
+            w, p = int(words[p]), p + 1
+        else:  # past the block: only integers() draws here
+            w = int(bg.random_raw())
+        has, half = 1, w >> 32
+        return w & 0xFFFFFFFF
+
+    e, n = 0, k * m  # coins tossed, coins in all
+    while e < n:
+        words, p = bg.random_raw(n - e), 0
+        for q in np.flatnonzero((words >> 11) * 2.0**-53 < rp).tolist():
+            if q < p:
+                continue  # taken by integers()
+            e, p = e + q - p + 1, q + 1
+            j, i = divmod(e - 1, m)
+            old = (i + j + 1) % m
+            if not cell[i * m + old] or deg[i] >= m - 1:
+                continue  # rewired away already, or nowhere to rewire to
             while True:
-                t = int(rng.integers(m))
-                if t != i and not adj[i, t]:
+                x = next32() * m
+                t = x >> 32
+                if x & 0xFFFFFFFF >= threshold and t != i and not cell[i * m + t]:
                     break
-            adj[i, old] = adj[old, i] = False
-            adj[i, t] = adj[t, i] = True
+            cell[i * m + old] = cell[old * m + i] = False
+            cell[i * m + t] = cell[t * m + i] = True
+            deg[old], deg[t] = deg[old] - 1, deg[t] + 1
+        e += len(words) - p
+    state = bg.state
+    state["has_uint32"], state["uinteger"] = has, half
+    bg.state = state
     return adj
 
 

@@ -221,6 +221,42 @@ def oracle_compute_stats(net: Network) -> NetworkStats:
     )
 
 
+def oracle_random_graph(m: int, p: float, rng) -> np.ndarray:
+    """Erdos-Renyi adjacency with one coin per pair, in np.triu_indices order."""
+    iu = np.triu_indices(m, 1)
+    hit = rng.random(iu[0].size) < p
+    adj = np.zeros((m, m), dtype=bool)
+    adj[iu[0][hit], iu[1][hit]] = True
+    return adj | adj.T
+
+
+def oracle_small_world(m: int, k: int, rp: float, rng) -> np.ndarray:
+    """Watts-Strogatz adjacency through scalar rng.random() and rng.integers(m)."""
+    adj = np.zeros((m, m), dtype=bool)
+    for j in range(1, k + 1):
+        idx = np.arange(m)
+        adj[idx, (idx + j) % m] = True
+        adj[(idx + j) % m, idx] = True
+    if rp == 0.0:
+        return adj
+    for j in range(1, k + 1):
+        for i in range(m):
+            if rng.random() >= rp:
+                continue
+            old = (i + j) % m
+            if not adj[i, old]:
+                continue  # already rewired away by an earlier step
+            if np.count_nonzero(adj[i]) >= m - 1:
+                continue  # node is saturated, nowhere to rewire to
+            while True:
+                t = int(rng.integers(m))
+                if t != i and not adj[i, t]:
+                    break
+            adj[i, old] = adj[old, i] = False
+            adj[i, t] = adj[t, i] = True
+    return adj
+
+
 def oracle_scale_free(m: int, n0: int, e: int, rng) -> np.ndarray:
     """Barabasi-Albert adjacency through rng.choice and a loop over targets."""
     adj = np.zeros((m, m), dtype=bool)

@@ -1,7 +1,11 @@
 """Network generators and statistics against brute-force oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ngg.engine import GameParams, PopulationState, run_group_round
 from ngg.errors import (
@@ -14,6 +18,8 @@ from ngg.netgen import (
     MAX_ATTEMPTS,
     Network,
     NetworkSpec,
+    _random_graph,
+    _small_world,
     all_pairs_distances,
     compute_stats,
     generate,
@@ -28,7 +34,9 @@ from conftest import (
     floyd_warshall,
     net_from_edges,
     oracle_compute_stats,
+    oracle_random_graph,
     oracle_scale_free,
+    oracle_small_world,
     oracle_stats,
     path_net,
     star_net,
@@ -157,6 +165,111 @@ def test_ws_rewiring_reduces_clustering():
     assert all(r.clustering_coefficient < lattice.clustering_coefficient
                for r in rewired)
     assert all(r.avg_path_length < lattice.avg_path_length for r in rewired)
+
+
+# ----------------------------------------------------------------------
+# rg and ws draw exactly what the scalar oracles draw
+# ----------------------------------------------------------------------
+
+WORD_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64,
+                   np.random.Philox]
+
+
+def plain(state):
+    """A bit_generator.state with its arrays as lists, so == compares it."""
+    if isinstance(state, dict):
+        return {key: plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def twin_generators(bitgen, seed, buffered):
+    """Two Generators in one state; buffered leaves a 32-bit half in both."""
+    pair = [np.random.Generator(bitgen(seed)) for _ in range(2)]
+    if buffered:
+        for gen in pair:
+            gen.integers(7)
+    return pair
+
+
+_M_K = st.integers(3, 48).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(1, (m - 1) // 2)))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(WORD_GENERATORS), _M_K, st.floats(0.0, 1.0),
+       st.integers(0, 2**64 - 1), st.booleans())
+@example(np.random.PCG64, (10, 3), 0.0, 1, True)
+@example(np.random.PCG64, (10, 3), 1.0, 1, True)
+@example(np.random.SFC64, (47, 23), 1.0, 5, False)
+def test_ws_matches_scalar_loop(bitgen, m_k, rp, seed, buffered):
+    (m, k), (new, old) = m_k, twin_generators(bitgen, seed, buffered)
+    assert np.array_equal(_small_world(m, k, rp, new),
+                          oracle_small_world(m, k, rp, old))
+    assert plain(new.bit_generator.state) == plain(old.bit_generator.state)
+
+
+@pytest.mark.parametrize("bitgen", WORD_GENERATORS)
+def test_ws_matches_scalar_loop_at_paper_scale(bitgen):
+    new, old = twin_generators(bitgen, 2013, True)
+    assert np.array_equal(_small_world(1000, 20, 0.2, new),
+                          oracle_small_world(1000, 20, 0.2, old))
+    assert plain(new.bit_generator.state) == plain(old.bit_generator.state)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([*WORD_GENERATORS, np.random.MT19937]),
+       st.integers(2, 60), st.floats(0.0, 1.0, exclude_min=True),
+       st.integers(0, 2**64 - 1), st.booleans())
+@example(np.random.PCG64, 2, 1.0, 0, True)
+def test_rg_matches_triu_indices_coins(bitgen, m, p, seed, buffered):
+    new, old = twin_generators(bitgen, seed, buffered)
+    assert np.array_equal(_random_graph(m, p, new), oracle_random_graph(m, p, old))
+    assert plain(new.bit_generator.state) == plain(old.bit_generator.state)
+
+
+class CraftedWords:
+    """Stands in for a bit generator: random_raw hands out fixed 64-bit words."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.state = {"has_uint32": 0, "uinteger": 0}
+
+    def random_raw(self, size=None):
+        if size is None:
+            return np.uint64(self.words.pop(0))
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+def test_ws_lemire_rejection_takes_the_next_half():
+    # m=5: integers(5) rejects a low half whose product with 5 leaves a
+    # remainder below (2**32 - 5) % 5 = 1, as numpy does; a low half of 0
+    # (t=0) is rejected and the buffered high half gives t=4. Sampling
+    # cannot reach this: the chance is about 5 / 2**32 per draw.
+    miss, high = 2**64 - 1, 3435973837  # (high * 5) >> 32 == 4
+    words = [miss, miss, 0, high << 32, miss, miss]  # coin 2 hits, then integers()
+    bg = CraftedWords(words)
+    adj = _small_world(5, 1, 0.5, SimpleNamespace(bit_generator=bg))
+    ring = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+    expect = ring - {(2, 3)} | {(2, 4)}
+    assert {(u, v) for u, v in zip(*np.nonzero(np.triu(adj, 1)))} == expect
+    assert bg.words == []  # every word read, none beyond
+    assert bg.state == {"has_uint32": 0, "uinteger": high}
+
+
+@pytest.mark.parametrize("rp", [0.0, 0.2])
+def test_ws_rejects_mt19937_naming_it(rp):
+    # MT19937's random() joins two 32-bit outputs and its state keeps no
+    # 32-bit half, so ws rewiring cannot read it as raw words
+    gen = np.random.Generator(np.random.MT19937(3))
+    with pytest.raises(InvalidParamError, match="MT19937"):
+        generate(NetworkSpec("ws", 20, k=2, rp=rp), gen)
+
+
+def test_rg_and_ba_accept_mt19937():
+    gen = np.random.Generator(np.random.MT19937(3))
+    assert is_connected(generate(NetworkSpec("rg", 20, p=0.5), gen).adj)
+    assert is_connected(generate(NetworkSpec("ba", 20, n0=3, e=2), gen).adj)
 
 
 # ----------------------------------------------------------------------
