@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .errors import InvalidParamError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
@@ -59,33 +61,49 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _column_extremes(px: np.ndarray, ys: np.ndarray) -> list:
+    """Indices of the points to draw: of each run of consecutive points in one
+    whole-pixel column, the first, lowest, highest and last, in order."""
+    cols = np.floor(px)
+    bounds = [0, *(np.flatnonzero(cols[1:] != cols[:-1]) + 1).tolist(), len(px)]
+    keep = []
+    for a, b in zip(bounds, bounds[1:]):
+        run = ys[a:b]
+        keep += sorted({a, a + int(run.argmin()), a + int(run.argmax()), b - 1})
+    return keep
+
+
 def render_line_chart(series, *, title: str = "", xlabel: str = "",
                       ylabel: str = "", log_y: bool = False,
                       desc: str = "") -> str:
     """Render [(label, xs, ys), ...] to an SVG document string.
 
     log_y switches the y axis to log10 with decade ticks; every y value must
-    then be positive.
+    then be positive. Of consecutive points in one whole-pixel column only the
+    first, lowest, highest and last are drawn.
     """
     if not series or any(len(xs) == 0 or len(xs) != len(ys)
                          for _, xs, ys in series):
         raise InvalidParamError("each series needs matching non-empty x/y data")
-    xs_all = [float(x) for _, xs, _ in series for x in xs]
-    ys_all = [float(y) for _, _, ys in series for y in ys]
-    if log_y and min(ys_all) <= 0:
+    data = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+            for _, xs, ys in series]
+    ys_min = min(float(ys.min()) for _, ys in data)
+    ys_max = max(float(ys.max()) for _, ys in data)
+    if log_y and ys_min <= 0:
         raise InvalidParamError("log-scale y requires positive values")
 
-    x_lo, x_hi = min(xs_all), max(xs_all)
+    x_lo = min(float(xs.min()) for xs, _ in data)
+    x_hi = max(float(xs.max()) for xs, _ in data)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if log_y:
-        y_ticks = _log_ticks(min(ys_all), max(ys_all))
+        y_ticks = _log_ticks(ys_min, ys_max)
         y_lo, y_hi = math.log10(y_ticks[0]), math.log10(y_ticks[-1])
         if y_hi == y_lo:
             y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
         y_pos = lambda v: math.log10(v)
     else:
-        y_lo, y_hi = min(ys_all), max(ys_all)
+        y_lo, y_hi = ys_min, ys_max
         if y_hi == y_lo:
             y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
         pad = (y_hi - y_lo) * 0.04
@@ -142,10 +160,12 @@ def render_line_chart(series, *, title: str = "", xlabel: str = "",
                    f'transform="rotate(-90 20 {_MT + px_h / 2})">'
                    f'{escape(ylabel)}</text>')
 
-    for k, (label, xs, ys) in enumerate(series):
+    for k, (xs, ys) in enumerate(data):
         color = PALETTE[k % len(PALETTE)]
-        pts = " L ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}"
-                         for x, y in zip(xs, ys))
+        px = _ML + (xs - x_lo) / (x_hi - x_lo) * px_w  # sx, elementwise
+        keep = _column_extremes(px, ys)
+        pts = " L ".join(f"{x:.2f},{sy(y):.2f}"
+                         for x, y in zip(px[keep].tolist(), ys[keep].tolist()))
         out.append(f'<path d="M {pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.6"/>')
 

@@ -1,6 +1,7 @@
 """SVG chart rendering."""
 
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -68,3 +69,31 @@ def test_sparse_series_svg_is_golden(log_y, digest):
     svg = render_line_chart(series, title="pin", xlabel="iteration",
                             ylabel="v", log_y=log_y, desc="kind=pin")
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+
+@pytest.mark.parametrize("log_y", [False, True])
+def test_dense_series_keeps_endpoints_and_extremes(log_y):
+    # 50,000 points over the 658-px plot area, about 76 per pixel column
+    n = 50_000
+    xs = list(range(n))
+    ys = [2.0 + (i * 7919 % 1000) / 10 + i % 13 / 7 for i in xs]
+    ys[31_337], ys[777] = 1.0, 500.0  # the global extremes, inside columns
+    svg = render_line_chart([("s", xs, ys)], log_y=log_y)
+    pts = elements(parse(svg), "path")[0].get("d")[2:].split(" L ")
+
+    if log_y:  # decade ticks 1..1000
+        y_lo, y_hi, pos = 0.0, 3.0, math.log10
+    else:  # data range padded by 4% on each side
+        pad = (500.0 - 1.0) * 0.04
+        y_lo, y_hi, pos = 1.0 - pad, 500.0 + pad, float
+
+    def point(i):
+        return (f"{78 + i / (n - 1) * 658:.2f},"
+                f"{46 + (y_hi - pos(ys[i])) / (y_hi - y_lo) * 376:.2f}")
+
+    assert pts[0] == point(0) and pts[-1] == point(n - 1)
+    assert point(31_337) in pts and point(777) in pts
+    assert len(pts) <= 4 * 659  # columns 78..736
+    px = [float(pt.split(",")[0]) for pt in pts]
+    assert px == sorted(px)
