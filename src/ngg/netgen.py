@@ -154,7 +154,8 @@ class NetworkStats:
 
 
 def generate(spec: NetworkSpec, rng: np.random.Generator) -> Network:
-    """Build a connected network for `spec`, drawing all randomness from rng."""
+    """Build a connected network for `spec`, drawing all randomness from rng;
+    ws reads it as 64-bit words, so it rejects an MT19937 bit generator."""
     spec.validate()
     if spec.model == "rg":
         return _retry_connected(spec, rng, lambda: _random_graph(spec.m, spec.p, rng))
@@ -180,21 +181,14 @@ def _random_graph(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def _small_world(m: int, k: int, rp: float, rng: np.random.Generator) -> np.ndarray:
-    """Ring lattice, then rewire the far endpoint of each lattice edge (i, i+j),
-    j-major, with probability rp; i stays fixed and the new endpoint avoids
-    self-loops and present edges. The draws are those of the scalar loop
-    (`rng.random() < rp` per edge, `rng.integers(m)` until a free endpoint),
-    read from bit_generator.random_raw words as numpy computes them: random()
-    takes one word, (w >> 11) * 2**-53; integers(m) is Lemire's
-    multiply-and-reject on 32-bit halves, low half first and the high half kept
-    in the generator's has_uint32/uinteger buffer. Each block holds one word
-    per coin still to toss, so nothing is drawn that the scalar loop would not.
-    """
-    adj = np.zeros((m, m), dtype=bool)
+    """Ring lattice; each lattice edge (i, i+j), j-major, moves its far end with
+    probability rp to a node that is not i and not adjacent. The draws are the
+    scalar loop's, random() < rp per edge and integers(m) until a free end, read
+    from random_raw words as numpy computes them: random() is (w >> 11) * 2**-53
+    of one word, integers(m) Lemire's multiply-and-reject on 32-bit halves."""
+    adj, idx = np.zeros((m, m), dtype=bool), np.arange(m)
     for j in range(1, k + 1):
-        idx = np.arange(m)
-        adj[idx, (idx + j) % m] = True
-        adj[(idx + j) % m, idx] = True
+        adj[idx, (idx + j) % m] = adj[(idx + j) % m, idx] = True
     bg = rng.bit_generator
     state = bg.state
     if "has_uint32" not in state:  # MT19937: random() joins two 32-bit outputs
@@ -202,7 +196,7 @@ def _small_world(m: int, k: int, rp: float, rng: np.random.Generator) -> np.ndar
                                 f"{type(bg).__name__} does not give")
     if rp == 0.0:
         return adj
-    has, half = state["has_uint32"], state["uinteger"]
+    has, half = state["has_uint32"], state["uinteger"]  # numpy's spare high half
     cell, deg = adj.reshape(-1).data, [2 * k] * m  # cell[i * m + j] is adj[i, j]
     threshold = ((1 << 32) - m) % m
 
@@ -220,7 +214,7 @@ def _small_world(m: int, k: int, rp: float, rng: np.random.Generator) -> np.ndar
 
     e, n = 0, k * m  # coins tossed, coins in all
     while e < n:
-        words, p = bg.random_raw(n - e), 0
+        words, p = bg.random_raw(n - e), 0  # a word per coin left: none to spare
         for q in np.flatnonzero((words >> 11) * 2.0**-53 < rp).tolist():
             if q < p:
                 continue  # taken by integers()
@@ -238,9 +232,7 @@ def _small_world(m: int, k: int, rp: float, rng: np.random.Generator) -> np.ndar
             cell[i * m + t] = cell[t * m + i] = True
             deg[old], deg[t] = deg[old] - 1, deg[t] + 1
         e += len(words) - p
-    state = bg.state
-    state["has_uint32"], state["uinteger"] = has, half
-    bg.state = state
+    bg.state = {**bg.state, "has_uint32": has, "uinteger": half}
     return adj
 
 

@@ -64,13 +64,9 @@ def _fmt(v: float) -> str:
 def _column_extremes(px: np.ndarray, ys: np.ndarray) -> list:
     """Indices of the points to draw: of each run of consecutive points in one
     whole-pixel column, the first, lowest, highest and last, in order."""
-    cols = np.floor(px)
-    bounds = [0, *(np.flatnonzero(cols[1:] != cols[:-1]) + 1).tolist(), len(px)]
-    keep = []
-    for a, b in zip(bounds, bounds[1:]):
-        run = ys[a:b]
-        keep += sorted({a, a + int(run.argmin()), a + int(run.argmax()), b - 1})
-    return keep
+    bounds = [0, *(np.flatnonzero(np.diff(np.floor(px))) + 1).tolist(), len(px)]
+    return [i for a, b in zip(bounds, bounds[1:]) for i in sorted(
+        {a, a + int(ys[a:b].argmin()), a + int(ys[a:b].argmax()), b - 1})]
 
 
 def render_line_chart(series, *, title: str = "", xlabel: str = "",
@@ -87,23 +83,21 @@ def render_line_chart(series, *, title: str = "", xlabel: str = "",
         raise InvalidParamError("each series needs matching non-empty x/y data")
     data = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
             for _, xs, ys in series]
-    ys_min = min(float(ys.min()) for _, ys in data)
-    ys_max = max(float(ys.max()) for _, ys in data)
-    if log_y and ys_min <= 0:
+    xs_all, ys_all = (np.concatenate(col).tolist() for col in zip(*data))
+    if log_y and min(ys_all) <= 0:
         raise InvalidParamError("log-scale y requires positive values")
 
-    x_lo = min(float(xs.min()) for xs, _ in data)
-    x_hi = max(float(xs.max()) for xs, _ in data)
+    x_lo, x_hi = min(xs_all), max(xs_all)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if log_y:
-        y_ticks = _log_ticks(ys_min, ys_max)
+        y_ticks = _log_ticks(min(ys_all), max(ys_all))
         y_lo, y_hi = math.log10(y_ticks[0]), math.log10(y_ticks[-1])
         if y_hi == y_lo:
             y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
         y_pos = lambda v: math.log10(v)
     else:
-        y_lo, y_hi = ys_min, ys_max
+        y_lo, y_hi = min(ys_all), max(ys_all)
         if y_hi == y_lo:
             y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
         pad = (y_hi - y_lo) * 0.04
