@@ -66,3 +66,42 @@ def test_trace_digest_is_golden(tmp_path, family, mode, extra):
     assert summary.converged
     assert len(records) == iterations
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# Paper scale: M=1000, N=20, so a round broadcasts 4 (beta 0.2) or 16
+# (beta 0.8) weighted draws, on the networks of the canonical points.
+PAPER_SPECS = {
+    "rg": NetworkSpec("rg", 1000, p=0.05),
+    "ws": NetworkSpec("ws", 1000, k=20, rp=0.2),
+    "ba": NetworkSpec("ba", 1000, n0=51, e=50),
+}
+
+# (family, beta) -> (iterations, sha256 of the CSV)
+GOLDEN_PAPER = {
+    ("rg", 0.2): (
+        946, "5f1f491cda41b9efd7d0085adf823a447ae12a5bbb8c68a08a6a261acaec4ec1"),
+    ("rg", 0.8): (
+        623, "4ee3872ad7e08a6f7d979e2cdb1ef64fac365ee8cda2e05376360fb0e6bc847a"),
+    ("ws", 0.2): (
+        2352, "f697081bb78f15da6c9cf494b686d148a9978827b3f32d893b3da11c5eaaac9c"),
+    ("ws", 0.8): (
+        1440, "e0042d78589d46dbc18e0d193014e8aab823d737037b746cb2d1ac05cd7d52c6"),
+    ("ba", 0.2): (
+        697, "1ef714567bfee8c8ba61cd3c0dde885075ce9cbe0df8de976e9a0ba976c2bc2c"),
+    ("ba", 0.8): (
+        601, "a3b9db276ae44a21785a1798b8e4073f466c261441847c43456e0666ea3a7624"),
+}
+
+
+@pytest.mark.parametrize("family,beta", list(GOLDEN_PAPER),
+                         ids=[f"{f}-ngg-beta{b}" for f, b in GOLDEN_PAPER])
+def test_paper_scale_trace_digest_is_golden(tmp_path, family, beta):
+    net = generate(PAPER_SPECS[family], np.random.default_rng(NET_SEED))
+    records, summary = run_to_convergence(net, GameParams(n=20, beta=beta),
+                                          GAME_SEED)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(records, path)
+    iterations, digest = GOLDEN_PAPER[(family, beta)]
+    assert summary.converged
+    assert len(records) == iterations
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
