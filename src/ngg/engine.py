@@ -34,7 +34,10 @@ listens. Mode "minimal" is the classic two-agent game on a random edge.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -182,10 +185,10 @@ def form_group(net: Network, n: int, rng: np.random.Generator) -> Group:
     neigh = net.neighbors(seed)
     take = min(len(neigh), n - 1)
     if take == len(neigh):
-        recruits = neigh
+        recruits = neigh.tolist()
     else:
-        recruits = rng.choice(neigh, size=take, replace=False)
-    return Group(seed, (seed, *(int(x) for x in recruits)))
+        recruits = rng.choice(neigh, size=take, replace=False).tolist()
+    return Group(seed, (seed, *recruits))
 
 
 def speak(pop: PopulationState, agent: int, params: GameParams,
@@ -209,11 +212,12 @@ def _speak_all(pop: PopulationState, members: Sequence[int], params: GameParams,
 
     Returns {member: word} in member order.
     """
-    u = rng.random(len(members))
-    empties = sum(1 for i in members if not pop.memories[i])
+    u = rng.random(len(members)).tolist()
     fresh = None
-    if empties and params.vocabulary is not None:
-        fresh = iter(rng.integers(params.vocabulary, size=empties))
+    if params.vocabulary is not None:
+        empties = sum(1 for i in members if not pop.memories[i])
+        if empties:
+            fresh = iter(rng.integers(params.vocabulary, size=empties).tolist())
     out = {}
     for idx, agent in enumerate(members):
         mem = pop.memories[agent]
@@ -225,7 +229,7 @@ def _speak_all(pop: PopulationState, members: Sequence[int], params: GameParams,
                 word = pop.next_fresh_word
                 pop.next_fresh_word += 1
             else:
-                word = int(next(fresh))
+                word = next(fresh)
             pop.learn(agent, word)
             out[agent] = word
     return out
@@ -271,17 +275,25 @@ def word_weights(group: Group, spoken: dict, net: Network) -> WeightTable:
 
 def transmit_count(params: GameParams, actual_size: int) -> int:
     """How many words one round broadcasts: max(1, round(beta * basis))."""
-    return max(1, int(np.floor(params.beta * params.basis(actual_size) + 0.5)))
+    return max(1, math.floor(params.beta * params.basis(actual_size) + 0.5))
 
 
 def select_transmitting_words(wt: WeightTable, params: GameParams,
                               actual_size: int, rng: np.random.Generator) -> list:
-    """Independent draws (with replacement); list order is transmission order."""
+    """Independent draws (with replacement); list order is transmission order.
+
+    The arithmetic of rng.choice(len(words), count, p=probs): a sequential
+    cumulative sum divided by its last entry, searched from the right by
+    random(count). Same picks, same generator state, no numpy dispatch.
+    """
     count = transmit_count(params, actual_size)
-    if len(wt.words) == 1:
-        return [wt.words[0]] * count
-    picks = rng.choice(len(wt.words), size=count, replace=True, p=wt.probs)
-    return [wt.words[i] for i in picks]
+    words = wt.words
+    if len(words) == 1:
+        return [words[0]] * count
+    cdf = list(accumulate(wt.probs.tolist()))
+    total = cdf[-1]
+    cdf = [c / total for c in cdf]
+    return [words[bisect_right(cdf, u)] for u in rng.random(count).tolist()]
 
 
 def transmit_word(word: int, spoken: dict, group: Group, net: Network,
@@ -329,11 +341,10 @@ def transmit_word(word: int, spoken: dict, group: Group, net: Network,
             for s in waiting:
                 pop.adopt(s, word)
                 unsuccessful.discard(s)
-    else:
-        v = rng.random(len(waiting))
+    elif waiting:  # random(0) would draw nothing
         p = n_succ / basis
-        for k, s in enumerate(waiting):
-            if v[k] < p:
+        for s, v in zip(waiting, rng.random(len(waiting)).tolist()):
+            if v < p:
                 pop.adopt(s, word)
                 unsuccessful.discard(s)
     return n_succ

@@ -257,6 +257,28 @@ def oracle_small_world(m: int, k: int, rp: float, rng) -> np.ndarray:
     return adj
 
 
+def plain(state):
+    """A bit_generator.state with its arrays as lists, so == compares it."""
+    if isinstance(state, dict):
+        return {key: plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def twin_generators(bitgen, seed, buffered):
+    """Two Generators in one state; buffered leaves a 32-bit half in both."""
+    pair = [np.random.Generator(bitgen(seed)) for _ in range(2)]
+    if buffered:
+        for gen in pair:
+            gen.integers(7)
+    return pair
+
+
+def oracle_weighted_picks(words, probs, count: int, rng) -> list:
+    """count words drawn with replacement by numpy's rng.choice(p=probs)."""
+    picks = rng.choice(len(words), size=count, replace=True, p=probs)
+    return [words[i] for i in picks]
+
+
 def oracle_scale_free(m: int, n0: int, e: int, rng) -> np.ndarray:
     """Barabasi-Albert adjacency through rng.choice and a loop over targets."""
     adj = np.zeros((m, m), dtype=bool)

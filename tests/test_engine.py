@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ngg.engine import (
     GameParams,
     Group,
+    WeightTable,
     PopulationState,
     _Draws,
     _ngmh_apply,
@@ -33,10 +34,13 @@ from conftest import (
     oracle_group_weights,
     oracle_n_iter_cvg,
     oracle_recount,
+    oracle_weighted_picks,
     pair_weight,
     path_net,
+    plain,
     snapshot_run,
     star_net,
+    twin_generators,
 )
 
 
@@ -118,6 +122,18 @@ def test_form_group_invariants():
         assert len(g.members) == 1 + min(len(net.neighbors(g.seed)), 4)
         for m in g.members[1:]:
             assert net.adj[g.seed, m]
+
+
+def test_form_group_members_are_plain_ints():
+    # word_weights shifts 1 << agent, which overflows on a numpy int64 member
+    net = generate(NetworkSpec("rg", 40, p=0.15), rng(1))
+    branches = set()
+    for seed in range(200):
+        g = form_group(net, 5, rng(seed))
+        branches.add(len(g.members) == 1 + len(net.neighbors(g.seed)))
+        assert all(type(agent) is int for agent in g.members), g.members
+        word_weights(g, dict.fromkeys(g.members, 0), net)
+    assert branches == {True, False}  # whole neighbourhood, and a sample
 
 
 def test_form_group_can_contain_nonadjacent_pair():
@@ -261,6 +277,31 @@ def test_select_single_candidate():
     wt = word_weights(Group(0, (0, 1)), {0: 3, 1: 3}, net)
     picks = select_transmitting_words(wt, GameParams(n=8, beta=0.5), 2, rng(0))
     assert picks == [3, 3, 3, 3]
+
+
+_DRAW_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64,
+                    np.random.Philox, np.random.MT19937]
+# word_weights gives multiples of 0.5; any positive floats test the rest
+_WORD_WEIGHTS = st.lists(st.integers(1, 40).map(lambda k: k / 2),
+                         min_size=2, max_size=20) | st.lists(
+    st.floats(0.0, 1e12, exclude_min=True), min_size=2, max_size=20)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(_DRAW_GENERATORS), _WORD_WEIGHTS, st.integers(1, 16),
+       st.integers(0, 2**64 - 1), st.booleans())
+@example(np.random.PCG64, [0.5, 1.0, 1.5], 16, 7, True)
+@example(np.random.MT19937, [5e-324, 1e12], 3, 0, True)
+def test_select_matches_numpy_weighted_choice(bitgen, weights, count, seed,
+                                              buffered):
+    new, old = twin_generators(bitgen, seed, buffered)
+    words = [100 + 3 * i for i in range(len(weights))]
+    word_w = np.asarray(weights)
+    wt = WeightTable((), word_w, words, word_w, word_w / sum(weights))
+    params = GameParams(n=16, beta=count / 16)
+    assert select_transmitting_words(wt, params, 16, new) == (
+        oracle_weighted_picks(words, wt.probs, count, old))
+    assert plain(new.bit_generator.state) == plain(old.bit_generator.state)
 
 
 def test_select_follows_weights():

@@ -39,7 +39,9 @@ from conftest import (
     oracle_small_world,
     oracle_stats,
     path_net,
+    plain,
     star_net,
+    twin_generators,
 )
 
 
@@ -173,22 +175,6 @@ def test_ws_rewiring_reduces_clustering():
 
 WORD_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64,
                    np.random.Philox]
-
-
-def plain(state):
-    """A bit_generator.state with its arrays as lists, so == compares it."""
-    if isinstance(state, dict):
-        return {key: plain(value) for key, value in state.items()}
-    return state.tolist() if isinstance(state, np.ndarray) else state
-
-
-def twin_generators(bitgen, seed, buffered):
-    """Two Generators in one state; buffered leaves a 32-bit half in both."""
-    pair = [np.random.Generator(bitgen(seed)) for _ in range(2)]
-    if buffered:
-        for gen in pair:
-            gen.integers(7)
-    return pair
 
 
 _M_K = st.integers(3, 48).flatmap(
