@@ -287,9 +287,11 @@ def _job(args):
     seed = derive_seed(cfg.master_seed, point_index, run_index)
     net = generate(cfg.network, np.random.default_rng(
         _net_seed_for(cfg, point_index, run_index)))
+    built = time.perf_counter()
     trace, summary = run_to_convergence(net, params, _run_streams(seed)[1])
-    wall_s = time.perf_counter() - start
-    return trace, summary, seed, wall_s
+    end = time.perf_counter()
+    return trace, summary, seed, {"wall_s": end - start, "net_s": built - start,
+                                  "game_s": end - built}
 
 
 def _worker_count(cfg: ExperimentConfig) -> int:
@@ -313,7 +315,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
 
     Returns the report dict that report.json holds. Capped runs are flagged
     in their report row, never raised; callers decide what non-convergence
-    means. Timing (each run's network build plus game, in seconds) goes only
+    means. Timing (each run's network build and game, in seconds) goes only
     into the report's metadata, so every other artifact is reproducible byte
     for byte.
     """
@@ -337,10 +339,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
         traces, summaries = [], []
         runs_detail = []
         for ri in range(cfg.repetitions):
-            trace, summary, seed, wall_s = next(results)
+            trace, summary, seed, timing = next(results)
             runs_meta.append({"point": pi, "run": ri,
-                              "iterations": summary.iterations,
-                              "wall_s": wall_s})
+                              "iterations": summary.iterations, **timing})
             name = f"point{pi:03d}_run{ri:03d}.csv"
             write_trace_csv(trace, out / name)
             traces.append(trace)
