@@ -304,6 +304,35 @@ def test_select_matches_numpy_weighted_choice(bitgen, weights, count, seed,
     assert plain(new.bit_generator.state) == plain(old.bit_generator.state)
 
 
+class FixedUniforms:
+    """Stands in for a Generator: random(size) hands out the given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size):
+        assert size == len(self.values)
+        return np.asarray(self.values)
+
+
+@settings(deadline=None)
+@given(_WORD_WEIGHTS)
+@example([0.5, 1.0, 1.5])
+def test_select_picks_at_the_exact_cdf_boundaries(weights):
+    # Random draws almost never land on a boundary, so put them there: the
+    # picks equal numpy's only if the cumulative sums are numpy's to the bit.
+    words = [100 + 3 * i for i in range(len(weights))]
+    word_w = np.asarray(weights)
+    wt = WeightTable((), word_w, words, word_w, word_w / sum(weights))
+    cdf = wt.probs.cumsum()  # Generator.choice(p=) takes these two steps,
+    cdf /= cdf[-1]           # then searchsorted(random(size), side="right")
+    u = [x for c in cdf[:-1].tolist()
+         for x in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)) if x < 1.0]
+    params = GameParams(n=64, beta=len(u) / 64)
+    assert select_transmitting_words(wt, params, 64, FixedUniforms(u)) == [
+        words[i] for i in cdf.searchsorted(u, side="right")]
+
+
 def test_select_follows_weights():
     net = star_net(4)
     wt = word_weights(Group(0, (0, 1, 2, 3, 4)), {0: 9, 1: 5, 2: 5, 3: 5, 4: 5}, net)
