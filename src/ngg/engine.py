@@ -287,13 +287,12 @@ def select_transmitting_words(wt: WeightTable, params: GameParams,
     random(count). Same picks, same generator state, no numpy dispatch.
     """
     count = transmit_count(params, actual_size)
-    words = wt.words
-    if len(words) == 1:
-        return [words[0]] * count
+    if len(wt.words) == 1:
+        return [wt.words[0]] * count
     cdf = list(accumulate(wt.probs.tolist()))
     total = cdf[-1]
     cdf = [c / total for c in cdf]
-    return [words[bisect_right(cdf, u)] for u in rng.random(count).tolist()]
+    return [wt.words[bisect_right(cdf, u)] for u in rng.random(count).tolist()]
 
 
 def transmit_word(word: int, spoken: dict, group: Group, net: Network,

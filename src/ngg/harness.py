@@ -315,7 +315,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
 
     Returns the report dict that report.json holds. Capped runs are flagged
     in their report row, never raised; callers decide what non-convergence
-    means. Timing (each run's network build and game, in seconds) goes only
+    means. Timing (each run's network build plus game, in seconds) goes only
     into the report's metadata, so every other artifact is reproducible byte
     for byte.
     """

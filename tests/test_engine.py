@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from ngg.engine import (
     GameParams,
     Group,
-    WeightTable,
     PopulationState,
+    WeightTable,
     _Draws,
     _ngmh_apply,
     form_group,
@@ -287,6 +287,14 @@ _WORD_WEIGHTS = st.lists(st.integers(1, 40).map(lambda k: k / 2),
     st.floats(0.0, 1e12, exclude_min=True), min_size=2, max_size=20)
 
 
+def _weight_table(weights) -> WeightTable:
+    """A table over distinct words with the given weights, probs as word_weights
+    computes them."""
+    word_w = np.asarray(weights)
+    return WeightTable((), word_w, [100 + 3 * i for i in range(len(weights))],
+                       word_w, word_w / sum(weights))
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.sampled_from(_DRAW_GENERATORS), _WORD_WEIGHTS, st.integers(1, 16),
        st.integers(0, 2**64 - 1), st.booleans())
@@ -295,12 +303,10 @@ _WORD_WEIGHTS = st.lists(st.integers(1, 40).map(lambda k: k / 2),
 def test_select_matches_numpy_weighted_choice(bitgen, weights, count, seed,
                                               buffered):
     new, old = twin_generators(bitgen, seed, buffered)
-    words = [100 + 3 * i for i in range(len(weights))]
-    word_w = np.asarray(weights)
-    wt = WeightTable((), word_w, words, word_w, word_w / sum(weights))
+    wt = _weight_table(weights)
     params = GameParams(n=16, beta=count / 16)
     assert select_transmitting_words(wt, params, 16, new) == (
-        oracle_weighted_picks(words, wt.probs, count, old))
+        oracle_weighted_picks(wt.words, wt.probs, count, old))
     assert plain(new.bit_generator.state) == plain(old.bit_generator.state)
 
 
@@ -321,16 +327,14 @@ class FixedUniforms:
 def test_select_picks_at_the_exact_cdf_boundaries(weights):
     # Random draws almost never land on a boundary, so put them there: the
     # picks equal numpy's only if the cumulative sums are numpy's to the bit.
-    words = [100 + 3 * i for i in range(len(weights))]
-    word_w = np.asarray(weights)
-    wt = WeightTable((), word_w, words, word_w, word_w / sum(weights))
+    wt = _weight_table(weights)
     cdf = wt.probs.cumsum()  # Generator.choice(p=) takes these two steps,
     cdf /= cdf[-1]           # then searchsorted(random(size), side="right")
     u = [x for c in cdf[:-1].tolist()
          for x in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)) if x < 1.0]
     params = GameParams(n=64, beta=len(u) / 64)
     assert select_transmitting_words(wt, params, 64, FixedUniforms(u)) == [
-        words[i] for i in cdf.searchsorted(u, side="right")]
+        wt.words[i] for i in cdf.searchsorted(u, side="right")]
 
 
 def test_select_follows_weights():
