@@ -284,7 +284,7 @@ def select_transmitting_words(wt: WeightTable, params: GameParams,
 
     The arithmetic of rng.choice(len(words), count, p=probs): a sequential
     cumulative sum divided by its last entry, searched from the right by
-    random(count). Same picks, same generator state, no numpy dispatch.
+    random(count): the same picks and the same generator state.
     """
     count = transmit_count(params, actual_size)
     if len(wt.words) == 1:
