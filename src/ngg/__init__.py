@@ -21,9 +21,9 @@ from .errors import (ConfigError, ConnectivityFailureError, DisconnectedError,
                      UnknownSourceError, ValidationError)
 from .harness import (ExperimentConfig, SweepSpec, derive_seed, load_config,
                       parse_config, run_experiment)
-from .metrics import (AvgTraceRecord, RunSummary, Trace, TraceRecord,
-                      aggregate_summaries, average_runs, read_trace_columns,
-                      summarize, write_trace_csv)
+from .metrics import (RunSummary, Trace, TraceRecord, aggregate_summaries,
+                      average_runs, read_trace_columns, summarize,
+                      write_trace_csv)
 from .netgen import (Network, NetworkSpec, NetworkStats, compute_stats,
                      generate, is_connected, read_edge_list, write_edge_list)
 
@@ -36,9 +36,9 @@ __all__ = [
     "ConnectivityFailureError", "DisconnectedError", "EmptyTraceError",
     "InvalidParamError", "NggError", "ParseError", "UnknownSourceError",
     "ValidationError", "ExperimentConfig", "SweepSpec", "derive_seed",
-    "load_config", "parse_config", "run_experiment", "AvgTraceRecord",
-    "RunSummary", "Trace", "TraceRecord", "aggregate_summaries",
-    "average_runs", "read_trace_columns", "summarize", "write_trace_csv",
+    "load_config", "parse_config", "run_experiment", "RunSummary", "Trace",
+    "TraceRecord", "aggregate_summaries", "average_runs",
+    "read_trace_columns", "summarize", "write_trace_csv",
     "Network", "NetworkSpec", "NetworkStats", "compute_stats", "generate",
     "is_connected", "read_edge_list", "write_edge_list",
 ]

@@ -6,7 +6,7 @@ Subcommands:
   sweep  execute an experiment config that declares a sweep block
   plot   turn persisted trace CSVs into a standalone SVG line chart
 
-Exit codes: 0 success, 2 invalid parameters/config/plot schema,
+Exit codes: 0 success, 2 invalid parameters/config/plot schema/--out path,
 3 connectivity failure during generation, 4 experiment finished but at
 least one run hit the iteration cap unconverged (artifacts still written).
 """
@@ -25,7 +25,7 @@ from . import __version__
 from .errors import (ConnectivityFailureError, InvalidParamError, NggError,
                      ValidationError)
 from .harness import load_config, run_experiment
-from .metrics import read_trace_columns, write_atomic
+from .metrics import make_out_dir, read_trace_columns, write_atomic
 from .netgen import KNOBS, NetworkSpec, compute_stats, generate, write_edge_list
 from .plotting import render_line_chart
 
@@ -96,8 +96,7 @@ def _cmd_net(args) -> int:
                        rp=args.rp, n0=args.n0, e=args.e)
     net = generate(spec, np.random.default_rng(args.seed))
     stats = compute_stats(net)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(args.out)
     write_edge_list(net, out / "edges.txt")
     record = {"model": spec.model, "params": spec.params(), "m": spec.m,
               "seed": args.seed, **dataclasses.asdict(stats)}
@@ -135,6 +134,8 @@ def _cmd_experiment(args, expect_sweep: bool) -> int:
 
 
 def _cmd_plot(args) -> int:
+    if not Path(args.out).parent.is_dir():
+        raise InvalidParamError(f"cannot write {args.out}: no such directory")
     if args.labels is not None and len(args.labels) != len(args.inputs):
         raise InvalidParamError("--labels count must match --inputs")
     labels = args.labels or [Path(p).stem for p in args.inputs]

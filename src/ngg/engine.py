@@ -37,13 +37,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidParamError, UnknownSourceError
-from .netgen import Network
+from .netgen import Network, _bounded
 
 MODES = ("ngg", "ngmh", "minimal")
 GROUP_SIZE_BASES = ("nominal", "actual")
@@ -158,7 +159,6 @@ class Group:
 class WeightTable:
     """Node/word weights of one round, before transmission."""
 
-    members: tuple
     node_w: np.ndarray   # per member: summed pair weights to the others
     words: list          # distinct spoken words, first-spoken order
     word_w: np.ndarray   # aligned with words
@@ -269,8 +269,7 @@ def word_weights(group: Group, spoken: dict, net: Network) -> WeightTable:
         else:
             acc[at] += nw
     word_w = np.asarray(acc)
-    return WeightTable(members, np.asarray(node), words, word_w,
-                       word_w / sum(acc))
+    return WeightTable(np.asarray(node), words, word_w, word_w / sum(acc))
 
 
 def transmit_count(params: GameParams, actual_size: int) -> int:
@@ -426,29 +425,22 @@ _ROUNDS = {"ngg": run_group_round, "ngmh": ngmh_round, "minimal": minimal_ng_rou
 class _Draws:
     """One run's random stream: a Generator with a fast scalar integers().
 
-    integers(n), for a plain int 0 < n <= 2**32, is numpy's Lemire method on
-    ctypes next_uint32, which shares the Generator's half-word buffer, so values
-    and state match; other calls are the Generator's. Skipping its lock is safe
+    integers(n), for a plain int 0 < n <= 2**32, is netgen._bounded on ctypes
+    next_uint32, which shares the Generator's half-word buffer, so values and
+    state match; other calls are the Generator's. Skipping its lock is safe
     in a one-run stream; default_rng(g) is g, so a passed g advances as before.
     """
 
     def __init__(self, seed):
-        self._gen = gen = np.random.default_rng(seed)  # owns self._state
-        self._next32 = gen.bit_generator.ctypes.next_uint32
-        self._state = gen.bit_generator.ctypes.state
+        self._gen = gen = np.random.default_rng(seed)  # owns the ctypes state
+        ctypes = gen.bit_generator.ctypes
+        self._next32 = partial(ctypes.next_uint32, ctypes.state)
         self.random, self.choice = gen.random, gen.choice
 
     def integers(self, n, size=None):
         if size is not None or type(n) is not int or not 0 < n <= 1 << 32:
             return self._gen.integers(n, size=size)  # numpy raises as before
-        if n == 1:
-            return 0  # numpy draws nothing here
-        m = self._next32(self._state) * n
-        if m & 0xFFFFFFFF < n:
-            threshold = ((1 << 32) - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = self._next32(self._state) * n
-        return m >> 32
+        return _bounded(self._next32, n)
 
 
 def run_to_convergence(net: Network, params: GameParams, seed):

@@ -24,6 +24,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from itertools import product
@@ -35,8 +36,8 @@ import numpy as np
 from . import __version__
 from .engine import MODES, GameParams, run_to_convergence
 from .errors import InvalidParamError, ParseError, ValidationError
-from .metrics import (aggregate_summaries, average_runs, write_atomic,
-                      write_trace_csv)
+from .metrics import (aggregate_summaries, average_runs, make_out_dir,
+                      write_atomic, write_trace_csv)
 from .netgen import KNOBS, NetworkSpec, generate
 
 # ----------------------------------------------------------------------
@@ -313,61 +314,58 @@ def _worker_count(cfg: ExperimentConfig) -> int:
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Execute every (point, repetition) run and write all artifacts.
 
-    Returns the report dict that report.json holds. Capped runs are flagged
-    in their report row, never raised; callers decide what non-convergence
-    means. Timing (each run's network build plus game, in seconds) goes only
-    into the report's metadata, so every other artifact is reproducible byte
-    for byte.
+    Each run's CSV is written as its result arrives, in job order, and
+    report.json last. Returns the report dict that report.json holds. Capped
+    runs are flagged in their report row, never raised; callers decide what
+    non-convergence means. Timing (each run's network build plus game, in
+    seconds) goes only into the report's metadata, so every other artifact is
+    reproducible byte for byte.
     """
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir if out_dir is not None else cfg.output_dir)
     points = cfg.sweep_points()
     jobs = [(cfg, pi, ri, params)
             for pi, params in enumerate(points)
             for ri in range(cfg.repetitions)]
 
     workers = min(_worker_count(cfg), len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_job, jobs, chunksize=1))
-    else:
-        results = [_job(j) for j in jobs]
-    results = iter(results)  # in job order: point by point, run by run
     point_rows = []
     runs_meta = []
-    for pi, params in enumerate(points):
-        traces, summaries = [], []
-        runs_detail = []
-        for ri in range(cfg.repetitions):
-            trace, summary, seed, timing = next(results)
-            runs_meta.append({"point": pi, "run": ri,
-                              "iterations": summary.iterations, **timing})
-            name = f"point{pi:03d}_run{ri:03d}.csv"
-            write_trace_csv(trace, out / name)
-            traces.append(trace)
-            summaries.append(summary)
-            runs_detail.append({
-                "run": ri,
-                "seed": seed,
-                "trace": name,
-                "converged": summary.converged,
-                "n_iter_cvg": summary.n_iter_cvg,
-                "n_total_max": summary.n_total_max,
-                "n_diff_max": summary.n_diff_max,
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():  # results stream in job order as runs finish
+        results = pool.map(_job, jobs, chunksize=1) if pool else map(_job, jobs)
+        for pi, params in enumerate(points):
+            traces, summaries = [], []
+            runs_detail = []
+            for ri in range(cfg.repetitions):
+                trace, summary, seed, timing = next(results)
+                runs_meta.append({"point": pi, "run": ri,
+                                  "iterations": summary.iterations, **timing})
+                name = f"point{pi:03d}_run{ri:03d}.csv"
+                write_trace_csv(trace, out / name)
+                traces.append(trace)
+                summaries.append(summary)
+                runs_detail.append({
+                    "run": ri,
+                    "seed": seed,
+                    "trace": name,
+                    "converged": summary.converged,
+                    "n_iter_cvg": summary.n_iter_cvg,
+                    "n_total_max": summary.n_total_max,
+                    "n_diff_max": summary.n_diff_max,
+                })
+            avg_name = f"point{pi:03d}_avg.csv"
+            write_trace_csv(average_runs(traces, cfg.network.m), out / avg_name)
+            point_rows.append({
+                "point": pi,
+                "mode": params.mode,
+                "n": params.n,
+                "beta": params.beta,
+                **aggregate_summaries(summaries),
+                "unconverged_runs": [d["run"] for d in runs_detail
+                                     if not d["converged"]],
+                "avg_trace": avg_name,
+                "runs_detail": runs_detail,
             })
-        avg_name = f"point{pi:03d}_avg.csv"
-        write_trace_csv(average_runs(traces, cfg.network.m), out / avg_name)
-        point_rows.append({
-            "point": pi,
-            "mode": params.mode,
-            "n": params.n,
-            "beta": params.beta,
-            **aggregate_summaries(summaries),
-            "unconverged_runs": [d["run"] for d in runs_detail
-                                 if not d["converged"]],
-            "avg_trace": avg_name,
-            "runs_detail": runs_detail,
-        })
 
     report = {
         "tool": "ngg",

@@ -27,25 +27,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyTraceError
+from .errors import EmptyTraceError, InvalidParamError
 
 TRACE_FIELDS = ("iteration", "n_total", "n_diff", "sr", "group_size",
                 "n_transmitted")
-COLUMNS = TRACE_FIELDS[1:]
 
 
 @dataclass(frozen=True)
 class TraceRecord:
-    iteration: int
-    n_total: int
-    n_diff: int
-    sr: float
-    group_size: int
-    n_transmitted: int
+    """One iteration. A run's trace holds ints in every field but sr; an
+    averaged trace holds float means."""
 
-
-@dataclass(frozen=True)
-class AvgTraceRecord:
     iteration: int
     n_total: float
     n_diff: float
@@ -60,22 +52,21 @@ class Trace:
     `columns` holds n_total, n_diff, sr, group_size, n_transmitted in that
     order. A run's trace grows them as typed arrays (`array('q')` counts,
     `array('d')` for sr) that numpy views without a copy; an averaged trace
-    holds float64 arrays. Indexing, slicing and iteration yield records:
-    TraceRecord for integer counts, AvgTraceRecord for averaged floats.
+    holds float64 arrays. Indexing, slicing and iteration yield TraceRecords;
+    two traces are equal when their columns have the same dtypes and values.
     """
 
-    __slots__ = ("columns", "_record")
+    __slots__ = ("columns",)
 
     def __init__(self, columns: Optional[tuple] = None):
         if columns is None:
             columns = tuple(array(code) for code in "qqdqq")
-        if len(columns) != len(COLUMNS) or len({len(c) for c in columns}) != 1:
+        width = len(TRACE_FIELDS) - 1
+        if len(columns) != width or len({len(c) for c in columns}) != 1:
             raise ValueError(
-                f"a trace has {len(COLUMNS)} columns of one length, got "
+                f"a trace has {width} columns of one length, got "
                 f"lengths {[len(c) for c in columns]}")
         self.columns = columns
-        floats = np.asarray(columns[0]).dtype.kind == "f"
-        self._record = AvgTraceRecord if floats else TraceRecord
 
     def arrays(self) -> tuple:
         """The columns as numpy arrays (views, not copies)."""
@@ -88,21 +79,16 @@ class Trace:
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]  # normalises a negative index, or raises
-        return self._record(i + 1, *(c[i] for c in self.columns))
-
-    def __iter__(self):
-        record = self._record
-        for i, row in enumerate(zip(*self.columns), 1):
-            yield record(i, *row)
+        return TraceRecord(i + 1, *(c[i] for c in self.columns))
 
     def __eq__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
-        return self._record is other._record and all(
-            np.array_equal(a, b) for a, b in zip(self.arrays(), other.arrays()))
+        return all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(self.arrays(), other.arrays()))
 
     def __repr__(self) -> str:
-        return f"Trace(<{len(self)} {self._record.__name__}s>)"
+        return f"Trace(<{len(self)} records>)"
 
 
 @dataclass(frozen=True)
@@ -165,7 +151,7 @@ def average_runs(traces: list, m: int) -> Trace:
     if not traces or any(not len(t) for t in traces):
         raise EmptyTraceError("average_runs needs non-empty traces")
     longest = max(len(t) for t in traces)
-    sums = [np.zeros(longest) for _ in COLUMNS]
+    sums = [np.zeros(longest) for _ in TRACE_FIELDS[1:]]
     for t in traces:
         n = len(t)
         for acc, col, pad in zip(sums, t.arrays(), (m, 1, 1.0, None, None)):
@@ -205,6 +191,16 @@ def aggregate_summaries(summaries) -> dict:
 # ----------------------------------------------------------------------
 # CSV round trip
 # ----------------------------------------------------------------------
+
+
+def make_out_dir(path) -> Path:
+    """path as a directory, made if missing; a file in the way is an error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise InvalidParamError(
+            f"cannot make directory {path}: {exc.strerror}") from exc
+    return Path(path)
 
 
 def write_atomic(path, text: str) -> None:

@@ -180,12 +180,25 @@ def _random_graph(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return adj | adj.T
 
 
+def _bounded(next32, n: int) -> int:
+    """numpy's integers(n) for an int 0 < n <= 2**32 from next32()'s 32-bit
+    words: Lemire's multiply-and-reject (n = 1 draws nothing)."""
+    if n == 1:
+        return 0
+    m = next32() * n
+    if m & 0xFFFFFFFF < n:
+        threshold = ((1 << 32) - n) % n
+        while m & 0xFFFFFFFF < threshold:
+            m = next32() * n
+    return m >> 32
+
+
 def _small_world(m: int, k: int, rp: float, rng: np.random.Generator) -> np.ndarray:
     """Ring lattice; each lattice edge (i, i+j), j-major, moves its far end with
     probability rp to a node that is not i and not adjacent. The draws are the
     scalar loop's, random() < rp per edge and integers(m) until a free end, read
     from random_raw words as numpy computes them: random() is (w >> 11) * 2**-53
-    of one word, integers(m) Lemire's multiply-and-reject on 32-bit halves."""
+    of one word, integers(m) is _bounded on their 32-bit halves, low first."""
     adj, idx = np.zeros((m, m), dtype=bool), np.arange(m)
     for j in range(1, k + 1):
         adj[idx, (idx + j) % m] = adj[(idx + j) % m, idx] = True
@@ -198,7 +211,6 @@ def _small_world(m: int, k: int, rp: float, rng: np.random.Generator) -> np.ndar
         return adj
     has, half = state["has_uint32"], state["uinteger"]  # numpy's spare high half
     cell, deg = adj.reshape(-1).data, [2 * k] * m  # cell[i * m + j] is adj[i, j]
-    threshold = ((1 << 32) - m) % m
 
     def next32():
         nonlocal has, half, p
@@ -224,9 +236,8 @@ def _small_world(m: int, k: int, rp: float, rng: np.random.Generator) -> np.ndar
             if not cell[i * m + old] or deg[i] >= m - 1:
                 continue  # rewired away already, or nowhere to rewire to
             while True:
-                x = next32() * m
-                t = x >> 32
-                if x & 0xFFFFFFFF >= threshold and t != i and not cell[i * m + t]:
+                t = _bounded(next32, m)
+                if t != i and not cell[i * m + t]:
                     break
             cell[i * m + old] = cell[old * m + i] = False
             cell[i * m + t] = cell[t * m + i] = True

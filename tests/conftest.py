@@ -19,7 +19,7 @@ import numpy as np
 import ngg
 from ngg.engine import _ROUNDS, PopulationState
 from ngg.errors import DisconnectedError
-from ngg.metrics import TRACE_FIELDS, AvgTraceRecord, Trace, snapshot
+from ngg.metrics import TRACE_FIELDS, Trace, TraceRecord, snapshot
 from ngg.netgen import Network, NetworkSpec, NetworkStats
 
 
@@ -320,11 +320,13 @@ def oracle_recount(pop: PopulationState) -> tuple:
 
 
 def make_trace(records) -> Trace:
-    """A Trace of TraceRecords (int columns) or AvgTraceRecords (float ones),
-    which must be numbered 1, 2, ... in order."""
+    """A Trace of TraceRecords numbered 1, 2, ... in order. A column is
+    float ('d') where the first record's field is a float and int ('q')
+    where it is an int; with no records, a run trace's columns."""
     records = list(records)
     assert [r.iteration for r in records] == list(range(1, len(records) + 1))
-    codes = "ddddd" if records and type(records[0]) is AvgTraceRecord else "qqdqq"
+    codes = ["d" if isinstance(getattr(records[0], f), float) else "q"
+             for f in TRACE_FIELDS[1:]] if records else "qqdqq"
     return Trace(tuple(array(code, [getattr(r, f) for r in records])
                        for code, f in zip(codes, TRACE_FIELDS[1:])))
 
@@ -355,7 +357,7 @@ def oracle_average_runs(traces, m: int) -> list:
             cols["group_size"][i] += (r or last).group_size
             cols["n_transmitted"][i] += (r or last).n_transmitted
     k = len(traces)
-    return [AvgTraceRecord(i + 1, *(cols[f][i] / k for f in TRACE_FIELDS[1:]))
+    return [TraceRecord(i + 1, *(cols[f][i] / k for f in TRACE_FIELDS[1:]))
             for i in range(longest)]
 
 

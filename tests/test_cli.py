@@ -99,6 +99,15 @@ def test_net_failed_write_leaves_no_file(tmp_path, monkeypatch, name):
     assert sorted(p.name for p in tmp_path.iterdir()) == kept
 
 
+def test_net_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["net", "--model", "rg", "--m", "5", "--p", "1.0",
+                 "--out", str(taken)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot make directory {taken}: File exists\n")
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["net", "--m", "10"])  # --model missing
@@ -184,6 +193,17 @@ def test_run_unconverged_exits_4(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "iter_cvg=n/a" in captured.out
     assert "unconverged" in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    over = {"sweep": {"betas": [0.5, 1.0]}} if command == "sweep" else {}
+    cfg = write_config(tmp_path, **over)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([command, "--config", cfg, "--out", str(taken)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot make directory {taken}: File exists\n")
 
 
 def test_run_missing_config_file_exits_2(tmp_path, capsys):
@@ -352,6 +372,16 @@ def test_plot_failed_write_leaves_no_file(tmp_path, monkeypatch, traces):
               "--out", str(plots / "chart.svg")])
     monkeypatch.undo()
     assert list(plots.iterdir()) == []
+
+
+def test_plot_out_in_missing_directory_exits_2(tmp_path, capsys, traces):
+    svg = tmp_path / "missing_dir" / "x.svg"
+    capsys.readouterr()
+    assert main(["plot", "--kind", "sr", "--inputs", *traces,
+                 "--out", str(svg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {svg}: no such directory\n")
+    assert not svg.parent.exists()
 
 
 def test_plot_rejects_foreign_csv(tmp_path, capsys):

@@ -291,7 +291,7 @@ def _weight_table(weights) -> WeightTable:
     """A table over distinct words with the given weights, probs as word_weights
     computes them."""
     word_w = np.asarray(weights)
-    return WeightTable((), word_w, [100 + 3 * i for i in range(len(weights))],
+    return WeightTable(word_w, [100 + 3 * i for i in range(len(weights))],
                        word_w, word_w / sum(weights))
 
 

@@ -329,6 +329,24 @@ def test_parallel_matches_sequential(tmp_path, monkeypatch):
             assert p1.read_bytes() == (par / p1.name).read_bytes()
 
 
+def test_run_csvs_written_as_results_arrive(tmp_path, monkeypatch):
+    # the last job fails: the runs before it are already on disk
+    monkeypatch.delenv("NGG_PARALLELISM", raising=False)
+    real_job = harness._job
+
+    def job(args):
+        if args[1:3] == (1, 1):
+            raise RuntimeError("last run fails")
+        return real_job(args)
+
+    monkeypatch.setattr(harness, "_job", job)
+    with pytest.raises(RuntimeError, match="last run fails"):
+        run_experiment(small_cfg(), tmp_path)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["point000_avg.csv", "point000_run000.csv",
+                     "point000_run001.csv", "point001_run000.csv"]
+
+
 def test_report_metadata_lists_every_run(tmp_path):
     cfg = small_cfg()
     report = run_experiment(cfg, tmp_path)

@@ -12,7 +12,6 @@ from ngg.engine import GameParams, PopulationState, RoundOutcome, run_to_converg
 from ngg.errors import EmptyTraceError
 from ngg.metrics import (
     TRACE_FIELDS,
-    AvgTraceRecord,
     RunSummary,
     Trace,
     TraceRecord,
@@ -42,6 +41,12 @@ def random_records(r, n, m=50):
                         float(r.random()), int(r.integers(2, 21)),
                         int(r.integers(1, 11)))
             for i in range(1, n + 1)]
+
+
+def averaged(record) -> bool:
+    """Whether every count field holds a float, as an averaged trace's do;
+    a run trace's hold ints."""
+    return all(isinstance(getattr(record, f), float) for f in TRACE_FIELDS[1:])
 
 
 def small_run(mode="ngg", seed=3):
@@ -74,7 +79,7 @@ def test_trace_indexing_slicing_and_iteration():
 def test_run_trace_yields_trace_records():
     trace, summary = small_run()
     assert isinstance(trace, Trace)
-    assert type(trace[-1]) is TraceRecord
+    assert type(trace[-1]) is TraceRecord and not averaged(trace[-1])
     assert [r.iteration for r in trace] == list(range(1, len(trace) + 1))
     assert trace[-1].n_total == 25 and trace[-1].n_diff == 1
     assert summary.iterations == len(trace)
@@ -88,7 +93,7 @@ def test_trace_survives_pickle():
         assert list(back) == list(trace)
     avg = average_runs([small_run(seed=s)[0] for s in range(3)], m=25)
     back = pickle.loads(pickle.dumps(avg))
-    assert back == avg and type(back[0]) is AvgTraceRecord
+    assert back == avg and averaged(back[0])
 
 
 # ----------------------------------------------------------------------
@@ -147,6 +152,8 @@ def test_average_identical_traces_is_identity():
     t = [rec(1, 5, 3, 0.25, 4, 2), rec(2, 4, 1, 1.0, 3, 2)]
     avg = average_runs([make_trace(t)] * 3, m=4)
     assert len(avg) == 2
+    # the same numbers, but a run trace and an averaged one are unequal
+    assert list(avg) == t and avg != make_trace(t)
     for a, r in zip(avg, t):
         assert a.iteration == r.iteration
         assert a.n_total == r.n_total
@@ -190,7 +197,7 @@ def test_average_matches_row_loop_bit_for_bit():
         want = oracle_average_runs(runs, 50)
         assert len(got) == len(want)
         for a, b in zip(got, want):
-            assert type(a) is AvgTraceRecord
+            assert averaged(a)
             for f in TRACE_FIELDS:
                 assert getattr(a, f) == getattr(b, f)   # exact, no tolerance
 
@@ -273,7 +280,7 @@ def test_trace_csv_byte_stable(tmp_path):
 
 
 def test_avg_trace_csv_roundtrip(tmp_path):
-    avg = make_trace([AvgTraceRecord(1, 5.5, 2.25, 0.125, 4.5, 2.0)])
+    avg = make_trace([TraceRecord(1, 5.5, 2.25, 0.125, 4.5, 2.0)])
     path = tmp_path / "avg.csv"
     write_trace_csv(avg, path)
     cols = read_trace_columns(path)
