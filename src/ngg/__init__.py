@@ -16,7 +16,7 @@ from .engine import (GameParams, Group, PopulationState, RoundOutcome,
                      run_group_round, run_to_convergence,
                      select_transmitting_words, speak, transmit_count,
                      transmit_word, word_weights)
-from .errors import (ConfigError, ConnectivityFailureError, DisconnectedError,
+from .errors import (ConnectivityFailureError, DisconnectedError,
                      EmptyTraceError, InvalidParamError, NggError, ParseError,
                      UnknownSourceError, ValidationError)
 from .harness import (ExperimentConfig, SweepSpec, derive_seed, load_config,
@@ -25,14 +25,14 @@ from .metrics import (RunSummary, Trace, TraceRecord, aggregate_summaries,
                       average_runs, read_trace_columns, summarize,
                       write_trace_csv)
 from .netgen import (Network, NetworkSpec, NetworkStats, compute_stats,
-                     generate, is_connected, read_edge_list, write_edge_list)
+                     generate, is_connected, write_edge_list)
 
 # The README's library API and the building blocks it names.
 __all__ = [
     "GameParams", "Group", "PopulationState", "RoundOutcome", "WeightTable",
     "form_group", "minimal_ng_round", "ngmh_round", "run_group_round",
     "run_to_convergence", "select_transmitting_words", "speak",
-    "transmit_count", "transmit_word", "word_weights", "ConfigError",
+    "transmit_count", "transmit_word", "word_weights",
     "ConnectivityFailureError", "DisconnectedError", "EmptyTraceError",
     "InvalidParamError", "NggError", "ParseError", "UnknownSourceError",
     "ValidationError", "ExperimentConfig", "SweepSpec", "derive_seed",
@@ -40,5 +40,5 @@ __all__ = [
     "TraceRecord", "aggregate_summaries", "average_runs",
     "read_trace_columns", "summarize", "write_trace_csv",
     "Network", "NetworkSpec", "NetworkStats", "compute_stats", "generate",
-    "is_connected", "read_edge_list", "write_edge_list",
+    "is_connected", "write_edge_list",
 ]

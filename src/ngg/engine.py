@@ -208,16 +208,13 @@ def speak(pop: PopulationState, agent: int, params: GameParams,
 
 def _speak_all(pop: PopulationState, members: Sequence[int], params: GameParams,
                rng: np.random.Generator) -> dict:
-    """speak() for every member with one bulk uniform draw (hot path).
+    """speak() for every member, with one bulk uniform draw for the picks
+    from non-empty memories (hot path); an empty memory invents through
+    speak(), in member order after that draw.
 
     Returns {member: word} in member order.
     """
     u = rng.random(len(members)).tolist()
-    fresh = None
-    if params.vocabulary is not None:
-        empties = sum(1 for i in members if not pop.memories[i])
-        if empties:
-            fresh = iter(rng.integers(params.vocabulary, size=empties).tolist())
     out = {}
     for idx, agent in enumerate(members):
         mem = pop.memories[agent]
@@ -225,13 +222,7 @@ def _speak_all(pop: PopulationState, members: Sequence[int], params: GameParams,
             k = len(mem)
             out[agent] = mem[min(int(u[idx] * k), k - 1)]
         else:
-            if fresh is None:
-                word = pop.next_fresh_word
-                pop.next_fresh_word += 1
-            else:
-                word = next(fresh)
-            pop.learn(agent, word)
-            out[agent] = word
+            out[agent] = speak(pop, agent, params, rng)
     return out
 
 
@@ -427,7 +418,8 @@ class _Draws:
 
     integers(n), for a plain int 0 < n <= 2**32, is netgen._bounded on ctypes
     next_uint32, which shares the Generator's half-word buffer, so values and
-    state match; other calls are the Generator's. Skipping its lock is safe
+    state match; other n, random() and choice() are the Generator's (the
+    engine draws no sized integers). Skipping its lock is safe
     in a one-run stream; default_rng(g) is g, so a passed g advances as before.
     """
 
@@ -437,9 +429,9 @@ class _Draws:
         self._next32 = partial(ctypes.next_uint32, ctypes.state)
         self.random, self.choice = gen.random, gen.choice
 
-    def integers(self, n, size=None):
-        if size is not None or type(n) is not int or not 0 < n <= 1 << 32:
-            return self._gen.integers(n, size=size)  # numpy raises as before
+    def integers(self, n):
+        if type(n) is not int or not 0 < n <= 1 << 32:
+            return self._gen.integers(n)  # numpy raises as before
         return _bounded(self._next32, n)
 
 

@@ -32,16 +32,11 @@ class EmptyTraceError(NggError):
     """A summary was requested for a run that recorded no iterations."""
 
 
-class ConfigError(NggError):
-    """Base class for experiment-configuration problems."""
+class ParseError(NggError):
+    """A config file cannot be read or is not valid JSON."""
 
 
-class ParseError(ConfigError):
-    """An input file does not parse: a config that is not valid JSON, or a
-    malformed edge-list line."""
-
-
-class ValidationError(ConfigError):
+class ValidationError(NggError):
     """The configuration parsed but a field is missing, unknown, or out of range."""
 
     def __init__(self, field: str, reason: str):

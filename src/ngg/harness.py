@@ -28,7 +28,6 @@ from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from itertools import product
-from pathlib import Path
 from typing import Optional
 
 import numpy as np

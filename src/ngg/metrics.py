@@ -206,10 +206,14 @@ def make_out_dir(path) -> Path:
 def write_atomic(path, text: str) -> None:
     """Write text to path through a temporary sibling and os.replace.
 
-    The path holds its old content or all of the new, never a part. On any
-    failure the temporary file is removed and the error propagates.
+    The path holds its old content or all of the new, never a part. A path
+    that is a directory is an InvalidParamError, before any temporary file;
+    on any other failure the temporary file is removed and the error
+    propagates.
     """
     path = Path(path)
+    if path.is_dir():
+        raise InvalidParamError(f"cannot write {path}: is a directory")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
@@ -232,7 +236,8 @@ def write_trace_csv(trace: Trace, path) -> None:
 
 
 def read_trace_columns(path) -> dict:
-    """Columns of a trace CSV as float arrays; rejects any schema drift."""
+    """Columns of a trace CSV as float arrays; rejects any schema drift and
+    any non-finite value."""
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\r\n")
         body = fh.read()
@@ -246,4 +251,7 @@ def read_trace_columns(path) -> dict:
         data = np.empty((0, len(TRACE_FIELDS)))
     if data.shape[1] != len(TRACE_FIELDS):
         raise ValueError(f"{path}: expected {len(TRACE_FIELDS)} columns per row")
+    for i, f in enumerate(TRACE_FIELDS):
+        if not np.isfinite(data[:, i]).all():
+            raise ValueError(f"{path}: column {f} holds a non-finite value")
     return {f: data[:, i] for i, f in enumerate(TRACE_FIELDS)}

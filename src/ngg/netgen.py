@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ConnectivityFailureError, DisconnectedError,
-                     InvalidParamError, ParseError)
+                     InvalidParamError)
 from .metrics import write_atomic
 
 MAX_ATTEMPTS = 100
@@ -343,7 +343,7 @@ def compute_stats(net: Network) -> NetworkStats:
 
 
 # ----------------------------------------------------------------------
-# Edge-list round trip
+# Edge-list output
 # ----------------------------------------------------------------------
 
 
@@ -351,34 +351,3 @@ def write_edge_list(net: Network, path) -> None:
     """One 'u v' line per edge, u < v, 0-based, lexicographic order; atomic."""
     edges = net.edges()
     write_atomic(path, ("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist()))
-
-
-def read_edge_list(path, m: Optional[int] = None) -> np.ndarray:
-    """Parse an edge-list file back into a boolean adjacency matrix.
-
-    Raises ParseError, naming the line, for a line that is not two integer
-    ids, a self-loop, a negative id, or an id >= m when m is given.
-    """
-    pairs = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                u, v = (int(x) for x in line.split())
-            except ValueError:
-                raise ParseError(f"{where}: expected 'u v', got {line!r}") from None
-            if u == v:
-                raise ParseError(f"{where}: self-loop at node {u}")
-            if min(u, v) < 0:
-                raise ParseError(f"{where}: negative node id in {line!r}")
-            if m is not None and max(u, v) >= m:
-                raise ParseError(f"{where}: node id >= m={m} in {line!r}")
-            pairs.append((u, v))
-    size = m if m is not None else (max(max(p) for p in pairs) + 1 if pairs else 0)
-    adj = np.zeros((size, size), dtype=bool)
-    for u, v in pairs:
-        adj[u, v] = adj[v, u] = True
-    return adj

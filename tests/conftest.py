@@ -221,6 +221,33 @@ def oracle_compute_stats(net: Network) -> NetworkStats:
     )
 
 
+def oracle_speak_all(pop: PopulationState, members, params, rng) -> dict:
+    """{member: word} through one bulk random(n) for the memory picks, then
+    one sized integers(vocabulary, size=empties) for every invention: the
+    group's speaking before inventions went through speak() one at a time."""
+    u = rng.random(len(members)).tolist()
+    fresh = None
+    if params.vocabulary is not None:
+        empties = sum(1 for i in members if not pop.memories[i])
+        if empties:
+            fresh = iter(rng.integers(params.vocabulary, size=empties).tolist())
+    out = {}
+    for idx, agent in enumerate(members):
+        mem = pop.memories[agent]
+        if mem:
+            k = len(mem)
+            out[agent] = mem[min(int(u[idx] * k), k - 1)]
+        else:
+            if fresh is None:
+                word = pop.next_fresh_word
+                pop.next_fresh_word += 1
+            else:
+                word = next(fresh)
+            pop.learn(agent, word)
+            out[agent] = word
+    return out
+
+
 def oracle_random_graph(m: int, p: float, rng) -> np.ndarray:
     """Erdos-Renyi adjacency with one coin per pair, in np.triu_indices order."""
     iu = np.triu_indices(m, 1)

@@ -108,6 +108,16 @@ def test_net_out_naming_a_file_exits_2(tmp_path, capsys):
         f"error: cannot make directory {taken}: File exists\n")
 
 
+def test_net_out_file_that_is_a_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "edges.txt").mkdir()
+    assert main(["net", "--model", "rg", "--m", "5", "--p", "1.0",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path / 'edges.txt'}: is a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.txt"]
+    assert list((tmp_path / "edges.txt").iterdir()) == []
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["net", "--m", "10"])  # --model missing
@@ -382,6 +392,31 @@ def test_plot_out_in_missing_directory_exits_2(tmp_path, capsys, traces):
     assert capsys.readouterr().err == (
         f"error: cannot write {svg}: no such directory\n")
     assert not svg.parent.exists()
+
+
+def test_plot_out_naming_a_directory_exits_2(tmp_path, capsys, traces):
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    capsys.readouterr()
+    assert main(["plot", "--kind", "sr", "--inputs", *traces,
+                 "--out", str(adir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {adir}: is a directory\n")
+    assert list(adir.iterdir()) == []
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_plot_non_finite_trace_value_exits_2(tmp_path, capsys, value):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("iteration,n_total,n_diff,sr,group_size,n_transmitted\r\n"
+                     f"1,4,2,0.5,3,1\r\n2,{value},1,1.0,3,1\r\n")
+    svg = tmp_path / "c.svg"
+    assert main(["plot", "--kind", "n-total", "--inputs", str(trace),
+                 "--out", str(svg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {trace}: column n_total holds a non-finite value\n")
+    assert not svg.exists()
 
 
 def test_plot_rejects_foreign_csv(tmp_path, capsys):

@@ -12,6 +12,7 @@ from ngg.engine import (
     WeightTable,
     _Draws,
     _ngmh_apply,
+    _speak_all,
     form_group,
     minimal_ng_round,
     ngmh_round,
@@ -34,6 +35,7 @@ from conftest import (
     oracle_group_weights,
     oracle_n_iter_cvg,
     oracle_recount,
+    oracle_speak_all,
     oracle_weighted_picks,
     pair_weight,
     path_net,
@@ -181,6 +183,49 @@ def test_speak_bounded_vocabulary():
     assert pop.next_fresh_word == 0
 
 
+def _population(memories, next_fresh_word=10) -> PopulationState:
+    pop = PopulationState(len(memories))
+    for agent, mem in enumerate(memories):
+        for word in mem:
+            pop.learn(agent, word)
+    pop.next_fresh_word = next_fresh_word
+    return pop
+
+
+_DRAW_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64,
+                    np.random.Philox, np.random.MT19937]
+_VOCABULARIES = [None, 1, 2, 3, 2**32, 2**32 + 1, 2**40]
+# memories, and a member order over their agents
+_GROUPS = st.lists(st.lists(st.integers(0, 9), unique=True, max_size=3),
+                   min_size=1, max_size=12).flatmap(
+    lambda mems: st.tuples(st.just(mems), st.permutations(range(len(mems)))))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from(_DRAW_GENERATORS), st.sampled_from(_VOCABULARIES),
+       _GROUPS, st.integers(0, 2**64 - 1), st.booleans(), st.booleans())
+@example(np.random.PCG64, 2**40, ([[], [3], [], [], [1, 2], []],
+                                  [5, 0, 1, 2, 3, 4]), 7, True, True)
+@example(np.random.Philox, 3, ([[], [], [], []], [0, 1, 2, 3]), 1, True, False)
+def test_speak_all_matches_bulk_draw_oracle(bitgen, vocabulary, group, seed,
+                                            buffered, via_draws):
+    # Inventions one scalar integers(vocabulary) at a time, in member order
+    # after the bulk random(n), give the words and the stream of one sized
+    # integers(vocabulary, size=empties) draw.
+    memories, members = group
+    params = GameParams(n=20, beta=0.5, vocabulary=vocabulary)
+    new_gen, old_gen = twin_generators(bitgen, seed, buffered)
+    new, old = _population(memories), _population(memories)
+    spoken = _speak_all(new, members, params,
+                        _Draws(new_gen) if via_draws else new_gen)
+    want = oracle_speak_all(old, members, params, old_gen)
+    assert list(spoken.items()) == list(want.items())
+    assert new.memories == old.memories
+    assert (new.next_fresh_word, new.total_words, new.distinct_words) == (
+        old.next_fresh_word, old.total_words, old.distinct_words)
+    assert plain(new_gen.bit_generator.state) == plain(old_gen.bit_generator.state)
+
+
 # ----------------------------------------------------------------------
 # Weights
 # ----------------------------------------------------------------------
@@ -279,8 +324,6 @@ def test_select_single_candidate():
     assert picks == [3, 3, 3, 3]
 
 
-_DRAW_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64,
-                    np.random.Philox, np.random.MT19937]
 # word_weights gives multiples of 0.5; any positive floats test the rest
 _WORD_WEIGHTS = st.lists(st.integers(1, 40).map(lambda k: k / 2),
                          min_size=2, max_size=20) | st.lists(
@@ -745,7 +788,6 @@ _WEIGHTS = st.lists(st.integers(1, 9), min_size=1, max_size=8)
 # edges of numpy's 32-bit path.
 _DRAWS = st.one_of(
     st.tuples(st.just("integers"), _BOUNDS),
-    st.tuples(st.just("integers_sized"), _BOUNDS, st.integers(0, 5)),
     st.tuples(st.just("random")),
     st.tuples(st.just("random_k"), st.integers(0, 6)),
     st.integers(1, 40).flatmap(lambda n: st.tuples(
@@ -758,8 +800,6 @@ def _draw(stream, call):
     kind, *args = call
     if kind == "integers":
         return int(stream.integers(args[0]))
-    if kind == "integers_sized":
-        return stream.integers(args[0], size=args[1]).tolist()
     if kind == "random":
         return stream.random()
     if kind == "random_k":

@@ -2,6 +2,7 @@
 
 import builtins
 import pickle
+import re
 import statistics
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from ngg import metrics
 from ngg.engine import GameParams, PopulationState, RoundOutcome, run_to_convergence
-from ngg.errors import EmptyTraceError
+from ngg.errors import EmptyTraceError, InvalidParamError
 from ngg.metrics import (
     TRACE_FIELDS,
     RunSummary,
@@ -339,3 +340,28 @@ def test_read_trace_columns_rejects_foreign_header(tmp_path):
     path.write_text("iteration,n_total\n1,2\n")
     with pytest.raises(ValueError):
         read_trace_columns(path)
+
+
+@pytest.mark.parametrize("column", TRACE_FIELDS)
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_read_trace_columns_rejects_non_finite_values(tmp_path, column, value):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(make_trace([rec(1, 6, 4, 0.5, 5, 2),
+                                rec(2, 4, 1, 1.0, 4, 2)]), path)
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    row[TRACE_FIELDS.index(column)] = value
+    path.write_text("\n".join([*lines[:2], ",".join(row)]) + "\n")
+    with pytest.raises(ValueError, match=rf"trace.csv: column {column} "
+                                         r"holds a non-finite value"):
+        read_trace_columns(path)
+
+
+def test_write_atomic_to_a_directory_raises_before_any_temp_file(tmp_path):
+    target = tmp_path / "adir"
+    target.mkdir()
+    with pytest.raises(InvalidParamError, match=re.escape(
+            f"cannot write {target}: is a directory")):
+        metrics.write_atomic(target, "text")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+    assert list(target.iterdir()) == []

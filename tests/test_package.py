@@ -1,13 +1,17 @@
 """The package surface: the public names and the names the benchmark wraps."""
 
+import ast
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import ngg
 from ngg import cli, engine, harness, metrics, netgen
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(ngg.__file__).resolve().parent
 
 
 def test_star_import_binds_exactly_all():
@@ -30,3 +34,19 @@ def test_benchmark_tracer_resolves_every_wrapped_name(monkeypatch):
     tracer = spans.Tracer(spans.layer_targets(engine, metrics, netgen,
                                               harness, cli))
     tracer.assert_removed()
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+def test_every_import_is_used(module):
+    # __init__.py imports only to re-export; every other module must use
+    # each name it binds by an import statement.
+    tree = ast.parse((SRC / module).read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(bound - used) == []
