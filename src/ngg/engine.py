@@ -419,8 +419,8 @@ class _Draws:
     integers(n), for a plain int 0 < n <= 2**32, is netgen._bounded on ctypes
     next_uint32, which shares the Generator's half-word buffer, so values and
     state match; other n, random() and choice() are the Generator's (the
-    engine draws no sized integers). Skipping its lock is safe
-    in a one-run stream; default_rng(g) is g, so a passed g advances as before.
+    engine draws no sized integers). Skipping its lock is safe in a one-run
+    stream; default_rng(g) is g, so a passed g advances as before.
     """
 
     def __init__(self, seed):

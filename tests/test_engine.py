@@ -183,12 +183,13 @@ def test_speak_bounded_vocabulary():
     assert pop.next_fresh_word == 0
 
 
-def _population(memories, next_fresh_word=10) -> PopulationState:
+def _population(memories) -> PopulationState:
+    """The given memories; the fresh-word counter is past their words."""
     pop = PopulationState(len(memories))
     for agent, mem in enumerate(memories):
         for word in mem:
             pop.learn(agent, word)
-    pop.next_fresh_word = next_fresh_word
+    pop.next_fresh_word = 10
     return pop
 
 
