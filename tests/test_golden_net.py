@@ -54,6 +54,21 @@ GOLDEN = {
         ["--model", "rg", "--m", "3", "--p", "0.9"],
         "0b3cf00b23b6326ad092eee8085e08aae69de649967f0c67855d9d18a34aa5af",
         "679288b2d68760fda9d549e0dd9bc47fab7d34c4ee03e73b3d429ac0f0799137"),
+    # n0 = 1: every new node makes one uniform draw, so the network is a tree
+    "ba-200-n0-1": (
+        ["--model", "ba", "--m", "200", "--n0", "1", "--e", "1"],
+        "faa2cb2c4fecd556098ad7357fc37c3280271f87a992dfc13629b88c983d7ea7",
+        "3eb08199fb5ce57db1ee568f04b42af765c4d7f7fbc28660911cd865dc4ed640"),
+    # e = n0, and m is a multiple of neither 8 nor 64 (the packed row widths)
+    "ba-130-e-n0": (
+        ["--model", "ba", "--m", "130", "--n0", "5", "--e", "5"],
+        "d8f501b56a9f999abf35a4bc3ad03d1c293fa965a9a0c77cb1e15c7bb1f2a05f",
+        "2d3a0ac94dfc1b5ac0c3eedb877eada32ec8bdc042fb8f0a5b68655785beb17e"),
+    # node ids run from two digits to three in the edge list
+    "rg-101": (
+        ["--model", "rg", "--m", "101", "--p", "0.1"],
+        "134bfe7526ab18c005b3a9702a6a1c3ca08540fd0b874de4b7862c30234d86b7",
+        "7d57c798ab56884f76c37d8b0cfdc7c88cadf796d1b57fe392bae569a551963f"),
 }
 
 
