@@ -170,10 +170,13 @@ def _cmd_plot(args) -> int:
         xlabel = args.xlabel if args.xlabel is not None else "iteration"
         ylabel = col
 
-    svg = render_line_chart(
-        series, title=args.title, xlabel=xlabel, ylabel=ylabel, log_y=log_y,
-        desc=f"kind={args.kind};yscale={'log' if log_y else 'linear'};"
-             f"series={len(series)}")
+    try:
+        svg = render_line_chart(
+            series, title=args.title, xlabel=xlabel, ylabel=ylabel, log_y=log_y,
+            desc=f"kind={args.kind};yscale={'log' if log_y else 'linear'};"
+                 f"series={len(series)}")
+    except InvalidParamError as exc:
+        raise InvalidParamError(f"{' '.join(args.inputs)}: {exc}") from None
     write_atomic(args.out, svg)
     print(f"wrote {args.out} ({len(series)} series)")
     return 0

@@ -104,7 +104,9 @@ class Network:
     spec: NetworkSpec
     adj: np.ndarray
 
-    _neighbors: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _pairs: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _lists: Optional[list] = field(default=None, repr=False, compare=False)
+    _rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _masks: Optional[list] = field(default=None, repr=False, compare=False)
     _edge_list: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
@@ -120,24 +122,41 @@ class Network:
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
 
+    def _adjacency(self) -> tuple:
+        """(dst, bounds) from one cached pass: row i is dst[bounds[i]:bounds[i + 1]]."""
+        if self._pairs is None:
+            src, dst = np.divmod(np.flatnonzero(self.adj), self.m)
+            self._pairs = dst, np.searchsorted(src, np.arange(self.m + 1)).tolist()
+        return self._pairs
+
     def neighbors(self, i: int) -> np.ndarray:
-        """Sorted neighbour ids of node i (cached per network)."""
-        if self._neighbors is None:
-            self._neighbors = tuple(map(np.flatnonzero, self.adj))
-        return self._neighbors[i]
+        """Sorted neighbour ids of node i."""
+        dst, bounds = self._adjacency()
+        return dst[bounds[i]:bounds[i + 1]]
+
+    def _neighbor_lists(self) -> list:
+        """Sorted neighbour ids of every node as lists of ints (cached)."""
+        if self._lists is None:
+            dst, bounds = self._adjacency()
+            flat = dst.tolist()
+            self._lists = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+        return self._lists
 
     def neighbor_masks(self) -> list:
-        """One int per node with bit j set iff j is adjacent (cached per network)."""
+        """One int per node with bit j set iff j is adjacent (cached per network);
+        _rows holds the same bits as uint64 words, zero-padded to a whole word."""
         if self._masks is None:
-            packed = np.packbits(self.adj, axis=1, bitorder="little")
-            self._masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+            rows = np.packbits(self.adj, axis=1, bitorder="little")
+            self._rows = np.pad(rows, ((0, 0), (0, -rows.shape[1] % 8))).view("<u8")
+            self._masks = [int.from_bytes(r.tobytes(), "little") for r in self._rows]
         return self._masks
 
     def edges(self) -> np.ndarray:
         """(E, 2) array of edges with u < v, lexicographically sorted."""
         if self._edge_list is None:
-            u, v = np.divmod(np.flatnonzero(self.adj), self.m)
-            self._edge_list = np.column_stack([u, v])[u < v]
+            dst, bounds = self._adjacency()
+            src = np.repeat(np.arange(self.m), np.diff(bounds))
+            self._edge_list = np.column_stack([src, dst])[src < dst]
         return self._edge_list
 
 
@@ -252,19 +271,20 @@ def _scale_free(m: int, n0: int, e: int, rng: np.random.Generator) -> np.ndarray
     adj[:n0, :n0] = True
     np.fill_diagonal(adj, False)
     deg = adj.sum(axis=1).astype(np.float64)
+    total, buf = n0 * (n0 - 1), np.empty(m)  # total is deg[:v].sum(), exactly
     for v in range(n0, m):
-        total = deg[:v].sum()
-        if total == 0.0:  # degenerate n0=1 seed: only uniform choice
+        if total == 0:  # degenerate n0=1 seed: only uniform choice
             targets = [int(rng.integers(v))]
         else:
-            # rng.choice(v, size=e, replace=True, p=deg[:v] / total), spelled
-            # out as numpy computes it, so the stream and picks are the same
-            cdf = (deg[:v] / total).cumsum()
+            # rng.choice(v, size=e, replace=True, p=deg[:v] / total) as numpy
+            # computes it; a repeated pick sets adj and adds to deg only once
+            cdf = np.cumsum(np.divide(deg[:v], total, out=buf[:v]), out=buf[:v])
             cdf /= cdf[-1]
-            targets = np.unique(cdf.searchsorted(rng.random(e), side="right"))
+            targets = cdf.searchsorted(rng.random(e), side="right")
         adj[v, targets] = adj[targets, v] = True
         deg[targets] += 1.0
-        deg[v] += len(targets)
+        deg[v] = np.count_nonzero(adj[v])
+        total += 2 * int(deg[v])
     return adj
 
 
@@ -308,9 +328,8 @@ def all_pairs_distances(adj: np.ndarray) -> np.ndarray:
     """Hop-count matrix (inf if unreachable): a pair's distance is the number
     of levels, level 0 included, at which its bit is still clear."""
     m, net = adj.shape[0], Network(None, adj)
-    nbrs = [net.neighbors(i).tolist() for i in range(m)]
     dist = 1.0 - np.eye(m)
-    for rows in _levels(net.neighbor_masks(), nbrs):
+    for rows in _levels(net.neighbor_masks(), net._neighbor_lists()):
         bits = "".join(format(row, f"0{m}b")[::-1] for row in rows)  # char j: bit j
         reach = np.frombuffer(bits.encode(), np.uint8).reshape(m, m) == ord("1")
         dist += ~reach
@@ -322,19 +341,18 @@ def compute_stats(net: Network) -> NetworkStats:
     """Average degree, average path length over unordered pairs, and the mean
     local clustering coefficient (degree < 2 counts 0), from exact integer bit
     counts: the pairs still unreached at each BFS level, level 0 included, sum
-    to twice the path total; each edge i < j credits popcount(mask_i & mask_j)
+    to twice the path total; each edge i < j credits popcount(row_i & row_j)
     to both ends. Raises DisconnectedError if any pair is unreachable."""
-    m, masks = net.m, net.neighbor_masks()
-    nbrs = [net.neighbors(i).tolist() for i in range(m)]
+    m, masks, nbrs = net.m, net.neighbor_masks(), net._neighbor_lists()
     unreached = [m * m - sum(map(int.bit_count, r)) for r in _levels(masks, nbrs)]
     if unreached[-1]:
         raise DisconnectedError("average path length needs a connected network")
-    twice = [0] * m  # each triangle at i is seen from both of its edges at i
-    for i, nb in enumerate(nbrs):
-        for j in nb[bisect_right(nb, i):]:
-            shared = (masks[i] & masks[j]).bit_count()
-            twice[i] += shared
-            twice[j] += shared
+    # a triangle at i is seen from both its edges at i; sums of ints < 2**53 are exact
+    rows, edges, twice = net._rows, net.edges(), np.zeros(m)
+    for at in range(0, len(edges), 4096):  # chunks keep the AND table small
+        u, v = edges[at:at + 4096].T
+        shared = np.bitwise_count(rows[u] & rows[v]).sum(axis=1)
+        twice += np.bincount(u, shared, m) + np.bincount(v, shared, m)
     deg = net.degrees.astype(np.float64)
     local = np.divide(twice, deg * (deg - 1.0), out=np.zeros(m), where=deg > 1)
     return NetworkStats(avg_degree=float(deg.mean()),
@@ -349,5 +367,7 @@ def compute_stats(net: Network) -> NetworkStats:
 
 def write_edge_list(net: Network, path) -> None:
     """One 'u v' line per edge, u < v, 0-based, lexicographic order; atomic."""
-    edges = net.edges()
-    write_atomic(path, ("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist()))
+    tail = [f"{v}\n" for v in range(net.m)]  # row u: "u " before each v > u
+    write_atomic(path, "".join(
+        f"{u} " + f"{u} ".join([tail[v] for v in nb[bisect_right(nb, u):]])
+        for u, nb in enumerate(net._neighbor_lists()) if nb and nb[-1] > u))

@@ -25,6 +25,8 @@ _ML, _MR, _MT, _MB = 78, 24, 46, 58
 
 def _nice_step(span: float, target: int) -> float:
     raw = span / max(target, 1)
+    if not math.isfinite(raw):
+        raise InvalidParamError("the values span more than the float range")
     mag = 10.0 ** math.floor(math.log10(raw))
     norm = raw / mag
     if norm < 1.5:

@@ -325,6 +325,13 @@ def oracle_scale_free(m: int, n0: int, e: int, rng) -> np.ndarray:
     return adj
 
 
+def oracle_write_edge_list(net: Network, path) -> None:
+    """The edge list through one "%d %d\n" format per edge, the edges read
+    off the upper triangle of the dense adjacency."""
+    edges = np.argwhere(np.triu(net.adj, 1))
+    Path(path).write_text(("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist()))
+
+
 def snapshot_run(net: Network, params, seed) -> list:
     """A run's trace as a list of records, one metrics.snapshot per round."""
     rng = np.random.default_rng(seed)

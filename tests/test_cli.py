@@ -419,6 +419,23 @@ def test_plot_non_finite_trace_value_exits_2(tmp_path, capsys, value):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("column", ["iteration", "n_total"])
+def test_plot_values_spanning_past_float_range_exit_2(tmp_path, capsys, column):
+    # each value is finite, but their span overflows to inf
+    rows = [[1, 4, 2, 0.5, 3, 1], [2, 4, 1, 1.0, 3, 1]]
+    at = ["iteration", "n_total"].index(column)
+    rows[0][at], rows[1][at] = "-1e308", "1e308"
+    trace = tmp_path / "trace.csv"
+    trace.write_text("iteration,n_total,n_diff,sr,group_size,n_transmitted\n"
+                     + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    svg = tmp_path / "c.svg"
+    assert main(["plot", "--kind", "n-total", "--inputs", str(trace),
+                 "--out", str(svg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {trace}: the values span more than the float range\n")
+    assert not svg.exists()
+
+
 def test_plot_rejects_foreign_csv(tmp_path, capsys):
     alien = tmp_path / "alien.csv"
     alien.write_text("time,value\n1,2\n")

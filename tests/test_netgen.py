@@ -18,6 +18,7 @@ from ngg.netgen import (
     Network,
     NetworkSpec,
     _random_graph,
+    _scale_free,
     _small_world,
     all_pairs_distances,
     compute_stats,
@@ -36,6 +37,7 @@ from conftest import (
     oracle_scale_free,
     oracle_small_world,
     oracle_stats,
+    oracle_write_edge_list,
     path_net,
     plain,
     star_net,
@@ -302,6 +304,63 @@ def test_ba_matches_choice_loop(m, n0, e):
         assert r_new.random() == r_old.random()
 
 
+_M_N0_E = st.integers(2, 40).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(1, m - 1))).flatmap(
+    lambda mn: st.tuples(*map(st.just, mn), st.integers(1, mn[1])))
+
+
+@settings(deadline=None)
+@given(st.sampled_from([*WORD_GENERATORS, np.random.MT19937]), _M_N0_E,
+       st.integers(0, 2**64 - 1), st.booleans())
+@example(np.random.PCG64, (30, 1, 1), 7, True)  # n0 = 1: uniform first pick
+@example(np.random.SFC64, (40, 6, 6), 3, True)  # e = n0
+@example(np.random.MT19937, (2, 1, 1), 0, False)
+def test_ba_matches_choice_oracle_with_equal_state(bitgen, m_n0_e, seed, buffered):
+    (m, n0, e), (new, old) = m_n0_e, twin_generators(bitgen, seed, buffered)
+    assert np.array_equal(_scale_free(m, n0, e, new), oracle_scale_free(m, n0, e, old))
+    assert plain(new.bit_generator.state) == plain(old.bit_generator.state)
+
+
+@pytest.mark.parametrize("bitgen", [*WORD_GENERATORS, np.random.MT19937])
+def test_ba_matches_choice_oracle_at_paper_scale(bitgen):
+    new, old = twin_generators(bitgen, 2013, True)
+    assert np.array_equal(_scale_free(1000, 51, 50, new),
+                          oracle_scale_free(1000, 51, 50, old))
+    assert plain(new.bit_generator.state) == plain(old.bit_generator.state)
+
+
+class BoundaryUniforms:
+    """Stands in for the Generator of _scale_free (n0 >= 2). For each new node
+    it builds numpy's cdf of choice(p=deg / deg.sum()) from its own copy of
+    the network, attaches the node there, and hands out uniforms on, just
+    below and just above the cdf's entries."""
+
+    def __init__(self, m: int, n0: int):
+        self.adj = ~np.eye(m, dtype=bool)
+        self.adj[n0:] = self.adj[:, n0:] = False
+        self.v = n0
+
+    def random(self, e: int) -> np.ndarray:
+        deg = self.adj.sum(axis=1)[:self.v].astype(np.float64)
+        cdf = (deg / deg.sum()).cumsum()
+        cdf /= cdf[-1]
+        near = [x for c in cdf[:-1].tolist()
+                for x in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)) if x < 1.0]
+        u = np.array(near)[rng(self.v).integers(len(near), size=e)]
+        targets = cdf.searchsorted(u, side="right")
+        self.adj[self.v, targets] = self.adj[targets, self.v] = True
+        self.v += 1
+        return u
+
+
+@pytest.mark.parametrize("m, n0, e", [(60, 3, 3), (130, 8, 4), (200, 5, 5)])
+def test_ba_picks_at_the_exact_cdf_boundaries(m, n0, e):
+    # Random draws almost never land on a boundary, so put them there: the
+    # picks equal numpy's only if the cdf is numpy's to the bit.
+    stub = BoundaryUniforms(m, n0)
+    assert np.array_equal(_scale_free(m, n0, e, stub), stub.adj)
+
+
 def test_ba_hubs_form():
     # Preferential attachment should leave the max degree well above the
     # minimum; a uniform-attachment graph of this size would not reach 3x.
@@ -440,6 +499,48 @@ def test_stats_equal_dense_oracle_at_bit_edges(m):
         else:
             assert compute_stats(net) == want
     assert 0 < raised < 40
+
+
+def symmetric_samples(m: int):
+    """Random symmetric adjacencies on m nodes, from empty to complete, each
+    with node m // 2 isolated (all of them when the density is 0)."""
+    r = rng(m)
+    for density in (0.0, 0.05, 0.3, 1.0):
+        adj = np.triu(r.random((m, m)) < density, 1)
+        adj |= adj.T
+        adj[m // 2] = adj[:, m // 2] = False
+        yield Network(NetworkSpec("rg", m, p=0.5), adj)
+
+
+@pytest.mark.parametrize("m", BIT_EDGE_SIZES)
+def test_adjacency_views_agree_with_dense_adj(m):
+    for net in symmetric_samples(m):
+        rows = [np.flatnonzero(row) for row in net.adj]
+        for i, want in enumerate(rows):
+            got = net.neighbors(i)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert net._neighbor_lists() == [row.tolist() for row in rows]
+        assert net.neighbor_masks() == [sum(1 << j for j in row.tolist())
+                                        for row in rows]
+        # the packed rows hold the same bits, and zeros past column m
+        bits = np.unpackbits(net._rows.view(np.uint8), axis=1, bitorder="little")
+        assert bits.shape[1] % 64 == 0 and bits.shape[1] - m < 64
+        assert np.array_equal(bits[:, :m], net.adj) and not bits[:, m:].any()
+        u, v = np.nonzero(np.triu(net.adj, 1))
+        want = np.column_stack([u, v])
+        assert net.edges().dtype == want.dtype
+        assert np.array_equal(net.edges(), want)
+        assert net.edges().flags.c_contiguous  # minimal rounds read edges().data
+
+
+@pytest.mark.parametrize("m", sorted({*BIT_EDGE_SIZES, 9, 10, 11, 99, 100, 101}))
+def test_edge_list_bytes_match_percent_d_writer(tmp_path, m):
+    # node ids cross a digit boundary at 10 and 100; density 0 has no edges
+    for k, net in enumerate(symmetric_samples(m)):
+        got, want = tmp_path / f"got{k}.txt", tmp_path / f"want{k}.txt"
+        write_edge_list(net, got)
+        oracle_write_edge_list(net, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("m", [63, 64, 65])

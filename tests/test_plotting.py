@@ -56,6 +56,16 @@ def test_log_scale_rejects_nonpositive():
         render_line_chart([("s", [1, 2], [1.0, 0.0])], log_y=True)
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ([1, 2], [1e308, -1e308]),  # the span itself overflows
+    ([1, 2], [0.9e308, -0.9e308]),  # the 4% padding makes it overflow
+    ([-1e308, 1e308], [1.0, 2.0]),
+])
+def test_span_past_float_range_rejected(xs, ys):
+    with pytest.raises(InvalidParamError, match="float range"):
+        render_line_chart([("s", xs, ys)])
+
+
 @pytest.mark.parametrize("log_y, digest", [
     (False, "2deb068e8039a2968a58893a675ab207d13bf0bd02a1a20f6762880faf5bfad7"),
     (True, "f81931a6b1389ed9778b0dc1680c7da9806ce86f1661c62cf08cf8058682739e"),
