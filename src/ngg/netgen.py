@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -104,8 +105,6 @@ class Network:
     spec: NetworkSpec
     adj: np.ndarray
 
-    _pairs: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _lists: Optional[list] = field(default=None, repr=False, compare=False)
     _rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _masks: Optional[list] = field(default=None, repr=False, compare=False)
     _edge_list: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
@@ -122,25 +121,27 @@ class Network:
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
 
+    @cached_property
     def _adjacency(self) -> tuple:
-        """(dst, bounds) from one cached pass: row i is dst[bounds[i]:bounds[i + 1]]."""
-        if self._pairs is None:
-            src, dst = np.divmod(np.flatnonzero(self.adj), self.m)
-            self._pairs = dst, np.searchsorted(src, np.arange(self.m + 1)).tolist()
-        return self._pairs
+        """(dst, bounds), one pass over adj: row i is dst[bounds[i]:bounds[i + 1]]."""
+        src, dst = np.divmod(np.flatnonzero(self.adj), self.m)
+        return dst, np.searchsorted(src, np.arange(self.m + 1)).tolist()
+
+    @cached_property
+    def _neighbors(self) -> list:
+        dst, bounds = self._adjacency
+        return np.split(dst, bounds[1:-1])
+
+    @cached_property
+    def _neighbor_lists(self) -> list:
+        """Sorted neighbour ids of every node as lists of ints."""
+        dst, bounds = self._adjacency
+        flat = dst.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def neighbors(self, i: int) -> np.ndarray:
-        """Sorted neighbour ids of node i."""
-        dst, bounds = self._adjacency()
-        return dst[bounds[i]:bounds[i + 1]]
-
-    def _neighbor_lists(self) -> list:
-        """Sorted neighbour ids of every node as lists of ints (cached)."""
-        if self._lists is None:
-            dst, bounds = self._adjacency()
-            flat = dst.tolist()
-            self._lists = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-        return self._lists
+        """Sorted neighbour ids of node i (cached per network)."""
+        return self._neighbors[i]
 
     def neighbor_masks(self) -> list:
         """One int per node with bit j set iff j is adjacent (cached per network);
@@ -154,7 +155,7 @@ class Network:
     def edges(self) -> np.ndarray:
         """(E, 2) array of edges with u < v, lexicographically sorted."""
         if self._edge_list is None:
-            dst, bounds = self._adjacency()
+            dst, bounds = self._adjacency
             src = np.repeat(np.arange(self.m), np.diff(bounds))
             self._edge_list = np.column_stack([src, dst])[src < dst]
         return self._edge_list
@@ -276,8 +277,7 @@ def _scale_free(m: int, n0: int, e: int, rng: np.random.Generator) -> np.ndarray
         if total == 0:  # degenerate n0=1 seed: only uniform choice
             targets = [int(rng.integers(v))]
         else:
-            # rng.choice(v, size=e, replace=True, p=deg[:v] / total) as numpy
-            # computes it; a repeated pick sets adj and adds to deg only once
+            # rng.choice(v, e, p=deg[:v] / total) as numpy does it; repeats count once
             cdf = np.cumsum(np.divide(deg[:v], total, out=buf[:v]), out=buf[:v])
             cdf /= cdf[-1]
             targets = cdf.searchsorted(rng.random(e), side="right")
@@ -329,7 +329,7 @@ def all_pairs_distances(adj: np.ndarray) -> np.ndarray:
     of levels, level 0 included, at which its bit is still clear."""
     m, net = adj.shape[0], Network(None, adj)
     dist = 1.0 - np.eye(m)
-    for rows in _levels(net.neighbor_masks(), net._neighbor_lists()):
+    for rows in _levels(net.neighbor_masks(), net._neighbor_lists):
         bits = "".join(format(row, f"0{m}b")[::-1] for row in rows)  # char j: bit j
         reach = np.frombuffer(bits.encode(), np.uint8).reshape(m, m) == ord("1")
         dist += ~reach
@@ -343,7 +343,7 @@ def compute_stats(net: Network) -> NetworkStats:
     counts: the pairs still unreached at each BFS level, level 0 included, sum
     to twice the path total; each edge i < j credits popcount(row_i & row_j)
     to both ends. Raises DisconnectedError if any pair is unreachable."""
-    m, masks, nbrs = net.m, net.neighbor_masks(), net._neighbor_lists()
+    m, masks, nbrs = net.m, net.neighbor_masks(), net._neighbor_lists
     unreached = [m * m - sum(map(int.bit_count, r)) for r in _levels(masks, nbrs)]
     if unreached[-1]:
         raise DisconnectedError("average path length needs a connected network")
@@ -370,4 +370,4 @@ def write_edge_list(net: Network, path) -> None:
     tail = [f"{v}\n" for v in range(net.m)]  # row u: "u " before each v > u
     write_atomic(path, "".join(
         f"{u} " + f"{u} ".join([tail[v] for v in nb[bisect_right(nb, u):]])
-        for u, nb in enumerate(net._neighbor_lists()) if nb and nb[-1] > u))
+        for u, nb in enumerate(net._neighbor_lists) if nb and nb[-1] > u))

@@ -519,7 +519,7 @@ def test_adjacency_views_agree_with_dense_adj(m):
         for i, want in enumerate(rows):
             got = net.neighbors(i)
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert net._neighbor_lists() == [row.tolist() for row in rows]
+        assert net._neighbor_lists == [row.tolist() for row in rows]
         assert net.neighbor_masks() == [sum(1 << j for j in row.tolist())
                                         for row in rows]
         # the packed rows hold the same bits, and zeros past column m
