@@ -46,7 +46,6 @@ import numpy as np
 from .errors import InvalidParamError, UnknownSourceError
 from .netgen import Network, _bounded
 
-MODES = ("ngg", "ngmh", "minimal")
 GROUP_SIZE_BASES = ("nominal", "actual")
 
 # ----------------------------------------------------------------------
@@ -411,6 +410,7 @@ def minimal_ng_round(net: Network, pop: PopulationState, params: GameParams,
 
 
 _ROUNDS = {"ngg": run_group_round, "ngmh": ngmh_round, "minimal": minimal_ng_round}
+MODES = tuple(_ROUNDS)
 
 
 class _Draws:

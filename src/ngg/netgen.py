@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -62,6 +62,8 @@ class NetworkSpec:
             raise InvalidParamError(f"unknown model {self.model!r}")
         if self.m < 2:
             raise InvalidParamError(f"m must be >= 2, got {self.m}")
+        if self.m * self.m > np.iinfo(np.intp).max:  # numpy cannot index adj
+            raise InvalidParamError(f"m={self.m} is too large for an m x m adjacency")
         if self.model == "rg":
             if self.p is None or not (0.0 < self.p <= 1.0):
                 raise InvalidParamError(f"rg needs 0 < p <= 1, got {self.p}")
@@ -98,16 +100,13 @@ class NetworkSpec:
         return f"BA-{self.e}"
 
 
-@dataclass
+@dataclass(eq=False)
 class Network:
-    """A generated network: spec, size, and dense boolean adjacency."""
+    """A generated network: spec, size, and dense boolean adjacency. Every view
+    below is cached where it is first read; == is identity."""
 
     spec: NetworkSpec
     adj: np.ndarray
-
-    _rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _masks: Optional[list] = field(default=None, repr=False, compare=False)
-    _edge_list: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -115,11 +114,11 @@ class Network:
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.adj.sum(axis=1)
+        return np.diff(self._adjacency[1])
 
     @property
     def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
+        return self._adjacency[1][-1] // 2
 
     @cached_property
     def _adjacency(self) -> tuple:
@@ -128,36 +127,39 @@ class Network:
         return dst, np.searchsorted(src, np.arange(self.m + 1)).tolist()
 
     @cached_property
-    def _neighbors(self) -> list:
-        dst, bounds = self._adjacency
-        return np.split(dst, bounds[1:-1])
-
-    @cached_property
     def _neighbor_lists(self) -> list:
         """Sorted neighbour ids of every node as lists of ints."""
         dst, bounds = self._adjacency
         flat = dst.tolist()
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """adj's rows as zero-padded uint64 words: bit j of row i is adj[i, j]."""
+        rows = np.packbits(self.adj, axis=1, bitorder="little")
+        return np.pad(rows, ((0, 0), (0, -rows.shape[1] % 8))).view("<u8")
+
+    @cached_property
+    def _masks(self) -> list:
+        return [int.from_bytes(r.tobytes(), "little") for r in self._rows]
+
+    @cached_property
+    def _edge_list(self) -> np.ndarray:
+        dst = self._adjacency[0]
+        src = np.repeat(np.arange(self.m), self.degrees)
+        return np.column_stack([src, dst])[src < dst]
+
     def neighbors(self, i: int) -> np.ndarray:
-        """Sorted neighbour ids of node i (cached per network)."""
-        return self._neighbors[i]
+        """Sorted neighbour ids of node i, a view into the shared dst array."""
+        dst, bounds = self._adjacency
+        return dst[bounds[i]:bounds[i + 1]]
 
     def neighbor_masks(self) -> list:
-        """One int per node with bit j set iff j is adjacent (cached per network);
-        _rows holds the same bits as uint64 words, zero-padded to a whole word."""
-        if self._masks is None:
-            rows = np.packbits(self.adj, axis=1, bitorder="little")
-            self._rows = np.pad(rows, ((0, 0), (0, -rows.shape[1] % 8))).view("<u8")
-            self._masks = [int.from_bytes(r.tobytes(), "little") for r in self._rows]
+        """One int per node with bit j set iff j is adjacent: _rows as ints."""
         return self._masks
 
     def edges(self) -> np.ndarray:
         """(E, 2) array of edges with u < v, lexicographically sorted."""
-        if self._edge_list is None:
-            dst, bounds = self._adjacency
-            src = np.repeat(np.arange(self.m), np.diff(bounds))
-            self._edge_list = np.column_stack([src, dst])[src < dst]
         return self._edge_list
 
 

@@ -76,15 +76,17 @@ def render_line_chart(series, *, title: str = "", xlabel: str = "",
                       desc: str = "") -> str:
     """Render [(label, xs, ys), ...] to an SVG document string.
 
-    log_y switches the y axis to log10 with decade ticks; every y value must
-    then be positive. Of consecutive points in one whole-pixel column only the
-    first, lowest, highest and last are drawn.
+    Every value must be finite, and every y positive for log_y, which makes the
+    y axis log10 with decade ticks. Of consecutive points in one whole-pixel
+    column only the first, lowest, highest and last are drawn.
     """
     if not series or any(len(xs) == 0 or len(xs) != len(ys)
                          for _, xs, ys in series):
         raise InvalidParamError("each series needs matching non-empty x/y data")
     data = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
             for _, xs, ys in series]
+    if not all(np.isfinite(col).all() for xy in data for col in xy):
+        raise InvalidParamError("every x and y value must be finite")
     xs_all, ys_all = (np.concatenate(col).tolist() for col in zip(*data))
     if log_y and min(ys_all) <= 0:
         raise InvalidParamError("log-scale y requires positive values")

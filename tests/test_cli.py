@@ -80,6 +80,15 @@ def test_net_invalid_params_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_net_m_past_numpy_index_range_exits_2(tmp_path, capsys):
+    # m * m exceeds intp: numpy would refuse the array before allocating it
+    assert main(["net", "--model", "rg", "--m", "100000000000", "--p", "0.1",
+                 "--out", str(tmp_path / "net")]) == 2
+    assert capsys.readouterr().err == (
+        "error: m=100000000000 is too large for an m x m adjacency\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name", ["edges.txt", "stats.json"])
 def test_net_failed_write_leaves_no_file(tmp_path, monkeypatch, name):
     # the disk fills up after the first 5 characters of one artifact's write
@@ -284,6 +293,18 @@ def test_plot_metric_vs_beta_linear_for_other_metrics(tmp_path, traces):
                  "--metric", "n_total_max", "--x", "0.2", "0.8",
                  "--out", str(svg)]) == 0
     assert "yscale=linear" in svg_elements(svg, "desc")[0].text
+
+
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_plot_metric_vs_beta_non_finite_x_exits_2(tmp_path, traces, capsys, x):
+    svg = tmp_path / "m.svg"
+    capsys.readouterr()
+    assert main(["plot", "--kind", "metric-vs-beta", "--inputs", *traces,
+                 "--metric", "n_iter_cvg", "--x", x, "0.5",
+                 "--out", str(svg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {' '.join(traces)}: every x and y value must be finite\n")
+    assert not svg.exists()
 
 
 def test_plot_metric_vs_beta_requires_metric_and_x(tmp_path, traces, capsys):

@@ -102,6 +102,7 @@ def test_parse_minimal_config():
     (lambda r: r["network"].update(k=3), "network.k"),
     (lambda r: r["network"].pop("p"), "network.p"),
     (lambda r: r["network"].update(m="big"), "network.m"),
+    (lambda r: r["network"].update(m=10**11), "network"),  # numpy refuses m * m
     (lambda r: r["game"].update(beta=0.0), "game"),
     (lambda r: r["game"].update(beta="half"), "game.beta"),
     (lambda r: r["game"].update(n=1), "game"),

@@ -72,6 +72,7 @@ def rng(seed=0):
     NetworkSpec("ba", 10, n0=4, e=5),
     NetworkSpec("ba", 10, n0=10, e=3),
     NetworkSpec("ba", 10, n0=4, e=2, p=0.3),
+    NetworkSpec("rg", 3_037_000_500, p=0.5),  # m * m past numpy's index range
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(InvalidParamError):
@@ -82,6 +83,7 @@ def test_valid_specs_pass():
     NetworkSpec("rg", 10, p=1.0).validate()
     NetworkSpec("ws", 10, k=3, rp=0.0).validate()
     NetworkSpec("ba", 10, n0=4, e=4).validate()
+    NetworkSpec("rg", 3_037_000_499, p=0.5).validate()  # m * m just fits intp
 
 
 def test_labels():
@@ -531,6 +533,10 @@ def test_adjacency_views_agree_with_dense_adj(m):
         assert net.edges().dtype == want.dtype
         assert np.array_equal(net.edges(), want)
         assert net.edges().flags.c_contiguous  # minimal rounds read edges().data
+        want = net.adj.sum(axis=1)
+        assert net.degrees.dtype == want.dtype
+        assert np.array_equal(net.degrees, want)
+        assert net.edge_count == int(net.adj.sum()) // 2
 
 
 @pytest.mark.parametrize("m", sorted({*BIT_EDGE_SIZES, 9, 10, 11, 99, 100, 101}))
@@ -564,8 +570,33 @@ def test_stats_same_after_engine_filled_mask_cache(spec):
     pop, r = PopulationState(net.m), rng(5)
     for _ in range(20):
         run_group_round(net, pop, GameParams(n=5, beta=0.5), r)
-    assert net._masks is not None
+    assert "_masks" in vars(net)
     assert compute_stats(net) == compute_stats(Network(spec, net.adj.copy()))
+
+
+@pytest.mark.parametrize("first", ["_rows", "edges", "_neighbor_lists",
+                                   "neighbor_masks"])
+@pytest.mark.parametrize("spec", [
+    NetworkSpec("rg", 129, p=0.05),
+    NetworkSpec("ws", 64, k=3, rp=0.2),
+    NetworkSpec("ba", 65, n0=4, e=3),
+], ids=lambda s: s.model)
+def test_stats_same_whichever_view_is_read_first(spec, first):
+    adj = generate(spec, rng(4)).adj
+    net = Network(spec, adj.copy())
+    view = getattr(net, first)
+    if callable(view):
+        view()
+    bits = np.unpackbits(net._rows.view(np.uint8), axis=1, bitorder="little")
+    assert np.array_equal(bits[:, :net.m], adj)
+    assert compute_stats(net) == compute_stats(Network(spec, adj))
+
+
+def test_network_equality_is_identity():
+    a = complete_net(4)
+    b = Network(a.spec, a.adj.copy())
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_stats_raise_on_disconnected():

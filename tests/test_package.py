@@ -10,7 +10,8 @@ import pytest
 import ngg
 from ngg import cli, engine, harness, metrics, netgen
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 SRC = Path(ngg.__file__).resolve().parent
 
 
@@ -36,12 +37,14 @@ def test_benchmark_tracer_resolves_every_wrapped_name(monkeypatch):
     tracer.assert_removed()
 
 
-@pytest.mark.parametrize("module", sorted(
-    p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
-def test_every_import_is_used(module):
-    # __init__.py imports only to re-export; every other module must use
-    # each name it binds by an import statement.
-    tree = ast.parse((SRC / module).read_text())
+@pytest.mark.parametrize("path", [
+    *sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+    *sorted(ROOT.glob("tests/*.py")), *sorted(ROOT.glob("demos/*.py"))],
+    ids=lambda p: p.name if p.parent == SRC else str(p.relative_to(ROOT)))
+def test_every_import_is_used(path):
+    # __init__.py imports only to re-export; every other module, test and
+    # demo must use each name it binds by an import statement.
+    tree = ast.parse(path.read_text())
     bound = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -66,6 +66,16 @@ def test_span_past_float_range_rejected(xs, ys):
         render_line_chart([("s", xs, ys)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("log_y", [False, True])
+def test_non_finite_value_rejected(bad, axis, log_y):
+    xs, ys = [1.0, 2.0], [1.0, 2.0]
+    (xs if axis == "x" else ys)[1] = bad
+    with pytest.raises(InvalidParamError, match="must be finite"):
+        render_line_chart([("ok", [1, 2], [3.0, 4.0]), ("s", xs, ys)], log_y=log_y)
+
+
 @pytest.mark.parametrize("log_y, digest", [
     (False, "2deb068e8039a2968a58893a675ab207d13bf0bd02a1a20f6762880faf5bfad7"),
     (True, "f81931a6b1389ed9778b0dc1680c7da9806ce86f1661c62cf08cf8058682739e"),
