@@ -69,11 +69,13 @@ def test_span_past_float_range_rejected(xs, ys):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("axis", ["x", "y"])
 @pytest.mark.parametrize("log_y", [False, True])
-def test_non_finite_value_rejected(bad, axis, log_y):
-    xs, ys = [1.0, 2.0], [1.0, 2.0]
+@pytest.mark.parametrize("at", [0, 1])
+def test_non_finite_value_rejected(bad, axis, log_y, at):
+    series = [("a", [1.0, 2.0], [1.0, 2.0]), ("b", [1.0, 2.0], [3.0, 4.0])]
+    _, xs, ys = series[at]
     (xs if axis == "x" else ys)[1] = bad
     with pytest.raises(InvalidParamError, match="must be finite"):
-        render_line_chart([("ok", [1, 2], [3.0, 4.0]), ("s", xs, ys)], log_y=log_y)
+        render_line_chart(series, log_y=log_y)
 
 
 @pytest.mark.parametrize("log_y, digest", [
