@@ -41,11 +41,8 @@ def main():
         cvg = agg["n_iter_cvg"]
         print(f"{mode:<8} converged {agg['converged_runs']}/{REPS}  "
               f"iter_cvg={cvg['mean']:9.1f} +/- {cvg['std']:8.1f}")
-        avg = average_runs(traces, M)
-        step = max(1, len(avg) // 400)  # thin long traces for the plot
-        series.append((mode,
-                       [r.iteration for r in avg[::step]],
-                       [r.n_diff for r in avg[::step]]))
+        n_diff = average_runs(traces, M).arrays()[1]
+        series.append((mode, np.arange(1, len(n_diff) + 1), n_diff))
 
     svg = render_line_chart(series, title="distinct words by update rule",
                             xlabel="iteration", ylabel="n_diff")

@@ -16,9 +16,8 @@ from .engine import (GameParams, Group, PopulationState, RoundOutcome,
                      run_group_round, run_to_convergence,
                      select_transmitting_words, speak, transmit_count,
                      transmit_word, word_weights)
-from .errors import (ConnectivityFailureError, DisconnectedError,
-                     EmptyTraceError, InvalidParamError, NggError, ParseError,
-                     UnknownSourceError, ValidationError)
+from .errors import (ConnectivityFailureError, InvalidParamError, NggError,
+                     ValidationError)
 from .harness import (ExperimentConfig, SweepSpec, derive_seed, load_config,
                       parse_config, run_experiment)
 from .metrics import (RunSummary, Trace, TraceRecord, aggregate_summaries,
@@ -33,8 +32,7 @@ __all__ = [
     "form_group", "minimal_ng_round", "ngmh_round", "run_group_round",
     "run_to_convergence", "select_transmitting_words", "speak",
     "transmit_count", "transmit_word", "word_weights",
-    "ConnectivityFailureError", "DisconnectedError", "EmptyTraceError",
-    "InvalidParamError", "NggError", "ParseError", "UnknownSourceError",
+    "ConnectivityFailureError", "InvalidParamError", "NggError",
     "ValidationError", "ExperimentConfig", "SweepSpec", "derive_seed",
     "load_config", "parse_config", "run_experiment", "RunSummary", "Trace",
     "TraceRecord", "aggregate_summaries", "average_runs",

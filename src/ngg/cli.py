@@ -146,6 +146,8 @@ def _cmd_plot(args) -> int:
                 "metric-vs-beta needs --metric and --x")
         if len(args.x) != len(args.inputs):
             raise InvalidParamError("--x count must match --inputs")
+        if not np.isfinite(args.x).all():
+            raise InvalidParamError(f"--x values must be finite, got {args.x}")
         try:
             values = [_extract_metric(path, args.metric) for path in args.inputs]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
@@ -158,6 +160,9 @@ def _cmd_plot(args) -> int:
         xlabel = args.xlabel if args.xlabel is not None else "beta"
         ylabel = args.metric
     else:
+        for flag, value in (("--metric", args.metric), ("--x", args.x)):
+            if value is not None:
+                raise InvalidParamError(f"{flag} needs --kind metric-vs-beta")
         col = TRACE_KINDS[args.kind]
         log_y = False
         series = []

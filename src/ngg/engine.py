@@ -43,8 +43,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParamError, UnknownSourceError
-from .netgen import Network, _bounded
+from .errors import InvalidParamError
+from .netgen import Network, _bounded, _check_types
 
 GROUP_SIZE_BASES = ("nominal", "actual")
 
@@ -73,6 +73,7 @@ class GameParams:
     group_size_basis: str = "nominal"
 
     def validate(self) -> None:
+        _check_types(self, ("n", "max_iterations", "vocabulary"), ("beta",))
         if self.n < 2:
             raise InvalidParamError(f"n must be >= 2, got {self.n}")
         if not (0.0 < self.beta <= 1.0):
@@ -299,7 +300,7 @@ def transmit_word(word: int, spoken: dict, group: Group, net: Network,
     members = group.members
     sources = [i for i in members if spoken.get(i) == word]
     if not sources:
-        raise UnknownSourceError(f"word {word} has no round-start speaker")
+        raise InvalidParamError(f"word {word} has no round-start speaker")
     sole = sources[0] if len(sources) == 1 else None
     src_mask = 0
     for s in sources:

@@ -6,7 +6,7 @@ class NggError(Exception):
 
 
 class InvalidParamError(NggError, ValueError):
-    """A model or game parameter is outside its legal range."""
+    """A bad argument, parameter, path or file (wrong type, range or content)."""
 
 
 class ConnectivityFailureError(NggError):
@@ -18,22 +18,6 @@ class ConnectivityFailureError(NggError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
-
-
-class DisconnectedError(NggError):
-    """A statistic that requires a connected network was asked of one that is not."""
-
-
-class UnknownSourceError(NggError):
-    """A word was scheduled for transmission that nobody spoke this round."""
-
-
-class EmptyTraceError(NggError):
-    """A summary was requested for a run that recorded no iterations."""
-
-
-class ParseError(NggError):
-    """A config file cannot be read or is not valid JSON."""
 
 
 class ValidationError(NggError):

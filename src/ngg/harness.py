@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .engine import MODES, GameParams, run_to_convergence
-from .errors import InvalidParamError, ParseError, ValidationError
+from .errors import InvalidParamError, ValidationError
 from .metrics import (aggregate_summaries, average_runs, make_out_dir,
                       write_atomic, write_trace_csv)
 from .netgen import KNOBS, NetworkSpec, generate
@@ -263,9 +263,9 @@ def load_config(path) -> ExperimentConfig:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+        raise InvalidParamError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise InvalidParamError(f"{path}: {exc}") from exc
     return parse_config(raw)
 
 

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyTraceError, InvalidParamError
+from .errors import InvalidParamError
 
 TRACE_FIELDS = ("iteration", "n_total", "n_diff", "sr", "group_size",
                 "n_transmitted")
@@ -121,7 +121,7 @@ def summarize(trace: Trace, converged_word: Optional[int]) -> RunSummary:
     round, so a converged run converged at its last iteration.
     """
     if not len(trace):
-        raise EmptyTraceError("cannot summarise a run with no iterations")
+        raise InvalidParamError("cannot summarise a run with no iterations")
     n_total, n_diff = trace.arrays()[:2]
     converged = converged_word is not None
     return RunSummary(
@@ -149,7 +149,7 @@ def average_runs(traces: list, m: int) -> Trace:
     mean is the same float as a row-by-row sum would give.
     """
     if not traces or any(not len(t) for t in traces):
-        raise EmptyTraceError("average_runs needs non-empty traces")
+        raise InvalidParamError("average_runs needs non-empty traces")
     longest = max(len(t) for t in traces)
     sums = [np.zeros(longest) for _ in TRACE_FIELDS[1:]]
     for t in traces:
@@ -176,7 +176,7 @@ def aggregate_summaries(summaries) -> dict:
     instead of polluting the mean.
     """
     if not summaries:
-        raise EmptyTraceError("aggregate_summaries needs at least one run")
+        raise InvalidParamError("aggregate_summaries needs at least one run")
     cvg = [s.n_iter_cvg for s in summaries if s.n_iter_cvg is not None]
     return {
         "runs": len(summaries),

@@ -21,17 +21,27 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
 
-from .errors import (ConnectivityFailureError, DisconnectedError,
-                     InvalidParamError)
+from .errors import ConnectivityFailureError, InvalidParamError
 from .metrics import write_atomic
 
 MAX_ATTEMPTS = 100
 # The network families and the knobs each one takes, in config order.
 KNOBS = {"rg": ("p",), "ws": ("k", "rp"), "ba": ("n0", "e")}
+
+
+def _check_types(obj, ints: tuple, reals: tuple) -> None:
+    """InvalidParamError naming the first field of obj set to a non-integer
+    (numpy's integers pass) or a non-number; a bool is neither."""
+    for name in ints + reals:
+        value, kind = getattr(obj, name), Integral if name in ints else Real
+        if isinstance(value, bool) or not isinstance(value, (kind, type(None))):
+            what = "an integer" if kind is Integral else "a number"
+            raise InvalidParamError(f"{name} must be {what}, got {value!r}")
 
 # ----------------------------------------------------------------------
 # Specs and the Network container
@@ -60,9 +70,10 @@ class NetworkSpec:
         # a tuple, not the dict: an unhashable model is unknown, not a TypeError
         if self.model not in tuple(KNOBS):
             raise InvalidParamError(f"unknown model {self.model!r}")
+        _check_types(self, ("m", "k", "n0", "e"), ("p", "rp"))
         if self.m < 2:
             raise InvalidParamError(f"m must be >= 2, got {self.m}")
-        if self.m * self.m > np.iinfo(np.intp).max:  # numpy cannot index adj
+        if int(self.m) ** 2 > np.iinfo(np.intp).max:  # numpy cannot index adj
             raise InvalidParamError(f"m={self.m} is too large for an m x m adjacency")
         if self.model == "rg":
             if self.p is None or not (0.0 < self.p <= 1.0):
@@ -344,11 +355,11 @@ def compute_stats(net: Network) -> NetworkStats:
     local clustering coefficient (degree < 2 counts 0), from exact integer bit
     counts: the pairs still unreached at each BFS level, level 0 included, sum
     to twice the path total; each edge i < j credits popcount(row_i & row_j)
-    to both ends. Raises DisconnectedError if any pair is unreachable."""
+    to both ends. Raises InvalidParamError if any pair is unreachable."""
     m, masks, nbrs = net.m, net.neighbor_masks(), net._neighbor_lists
     unreached = [m * m - sum(map(int.bit_count, r)) for r in _levels(masks, nbrs)]
     if unreached[-1]:
-        raise DisconnectedError("average path length needs a connected network")
+        raise InvalidParamError("average path length needs a connected network")
     # a triangle at i is seen from both its edges at i; sums of ints < 2**53 are exact
     rows, edges, twice = net._rows, net.edges(), np.zeros(m)
     for at in range(0, len(edges), 4096):  # chunks keep the AND table small

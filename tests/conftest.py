@@ -18,7 +18,7 @@ import numpy as np
 
 import ngg
 from ngg.engine import _ROUNDS, PopulationState
-from ngg.errors import DisconnectedError
+from ngg.errors import InvalidParamError
 from ngg.metrics import TRACE_FIELDS, Trace, TraceRecord, snapshot
 from ngg.netgen import Network, NetworkSpec, NetworkStats
 
@@ -206,7 +206,7 @@ def oracle_compute_stats(net: Network) -> NetworkStats:
         nxt = ((reach.astype(np.float32) @ af) > 0) | reach
         new = nxt & ~reach
         if not new.any():
-            raise DisconnectedError("average path length needs a connected network")
+            raise InvalidParamError("average path length needs a connected network")
         d += 1
         dist[new] = d
         reach = nxt

@@ -303,7 +303,19 @@ def test_plot_metric_vs_beta_non_finite_x_exits_2(tmp_path, traces, capsys, x):
                  "--metric", "n_iter_cvg", "--x", x, "0.5",
                  "--out", str(svg)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {' '.join(traces)}: every x and y value must be finite\n")
+        f"error: --x values must be finite, got [{x}, 0.5]\n")
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("flag", [["--metric", "n_iter_cvg"], ["--x", "1", "2"]])
+def test_plot_trace_kind_rejects_metric_vs_beta_flag(tmp_path, traces, capsys,
+                                                     flag):
+    svg = tmp_path / "c.svg"
+    capsys.readouterr()
+    assert main(["plot", "--kind", "sr", "--inputs", *traces, *flag,
+                 "--out", str(svg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag[0]} needs --kind metric-vs-beta\n")
     assert not svg.exists()
 
 

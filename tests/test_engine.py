@@ -24,7 +24,7 @@ from ngg.engine import (
     transmit_word,
     word_weights,
 )
-from ngg.errors import InvalidParamError, UnknownSourceError
+from ngg.errors import InvalidParamError
 from ngg.netgen import NetworkSpec, generate
 
 from conftest import (
@@ -67,6 +67,25 @@ def rng(seed=0):
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(InvalidParamError):
         GameParams(**kwargs).validate()
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("n", 5.0, "an integer"),
+    ("n", True, "an integer"),
+    ("max_iterations", 1e3, "an integer"),
+    ("vocabulary", 2.0, "an integer"),
+    ("beta", True, "a number"),
+])
+def test_wrong_type_params_rejected_naming_the_field(field, value, what):
+    params = GameParams(**{"n": 5, "beta": 0.5, field: value})
+    with pytest.raises(InvalidParamError) as exc:
+        run_to_convergence(path_net(6), params, rng(0))
+    assert str(exc.value) == f"{field} must be {what}, got {value!r}"
+
+
+def test_numpy_scalar_params_accepted():
+    GameParams(n=np.int64(5), beta=np.float32(0.5), max_iterations=np.int32(9),
+               vocabulary=np.uint8(3)).validate()
 
 
 def test_population_counters_track_mutations():
@@ -543,7 +562,8 @@ def test_transmit_deterministic_feedback_floor():
 def test_transmit_unknown_source():
     net = path_net(2)
     pop = PopulationState(2)
-    with pytest.raises(UnknownSourceError):
+    with pytest.raises(InvalidParamError,
+                       match="word 1 has no round-start speaker"):
         transmit_word(1, {0: 2}, Group(0, (0, 1)), net, pop, {0, 1}, 2, rng(0))
 
 

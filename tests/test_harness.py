@@ -2,6 +2,7 @@
 
 import builtins
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ngg import harness, metrics
-from ngg.errors import ParseError, ValidationError
+from ngg.errors import InvalidParamError, ValidationError
 from ngg.harness import (
     ExperimentConfig,
     SweepSpec,
@@ -239,7 +240,8 @@ def test_to_dict_roundtrips_through_parse_config(network, optional, sweep):
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
-    with pytest.raises(ParseError):
+    with pytest.raises(InvalidParamError,
+                       match=re.escape(f"{path}: Expecting property name")):
         load_config(path)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from ngg import metrics
 from ngg.engine import GameParams, PopulationState, RoundOutcome, run_to_convergence
-from ngg.errors import EmptyTraceError, InvalidParamError
+from ngg.errors import InvalidParamError
 from ngg.metrics import (
     TRACE_FIELDS,
     RunSummary,
@@ -140,7 +140,8 @@ def test_summarize_unconverged():
 
 
 def test_summarize_rejects_empty_trace():
-    with pytest.raises(EmptyTraceError):
+    with pytest.raises(InvalidParamError,
+                       match="cannot summarise a run with no iterations"):
         summarize(Trace(), None)
 
 
@@ -204,9 +205,11 @@ def test_average_matches_row_loop_bit_for_bit():
 
 
 def test_average_rejects_empty_input():
-    with pytest.raises(EmptyTraceError):
+    with pytest.raises(InvalidParamError,
+                       match="average_runs needs non-empty traces"):
         average_runs([], m=4)
-    with pytest.raises(EmptyTraceError):
+    with pytest.raises(InvalidParamError,
+                       match="average_runs needs non-empty traces"):
         average_runs([make_trace([rec(1, 2, 1)]), Trace()], m=4)
 
 
@@ -247,7 +250,8 @@ def test_aggregate_all_capped():
 
 
 def test_aggregate_rejects_empty():
-    with pytest.raises(EmptyTraceError):
+    with pytest.raises(InvalidParamError,
+                       match="aggregate_summaries needs at least one run"):
         aggregate_summaries([])
 
 

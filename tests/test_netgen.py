@@ -8,11 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ngg.engine import GameParams, PopulationState, run_group_round
-from ngg.errors import (
-    ConnectivityFailureError,
-    DisconnectedError,
-    InvalidParamError,
-)
+from ngg.errors import ConnectivityFailureError, InvalidParamError
 from ngg.netgen import (
     MAX_ATTEMPTS,
     Network,
@@ -44,6 +40,8 @@ from conftest import (
     twin_generators,
 )
 
+DISCONNECTED = "average path length needs a connected network"
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
@@ -73,10 +71,26 @@ def rng(seed=0):
     NetworkSpec("ba", 10, n0=10, e=3),
     NetworkSpec("ba", 10, n0=4, e=2, p=0.3),
     NetworkSpec("rg", 3_037_000_500, p=0.5),  # m * m past numpy's index range
+    NetworkSpec("rg", np.int64(3_037_000_500), p=0.5),  # where int64 m * m wraps
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(InvalidParamError):
         bad.validate()
+
+
+@pytest.mark.parametrize("spec, field, value, what", [
+    (dict(model="rg", m=30.0, p=0.3), "m", 30.0, "an integer"),
+    (dict(model="rg", m=True, p=0.3), "m", True, "an integer"),
+    (dict(model="rg", m=30, p=True), "p", True, "a number"),
+    (dict(model="ws", m=30, k=2.0, rp=0.1), "k", 2.0, "an integer"),
+    (dict(model="ws", m=30, k=2, rp=False), "rp", False, "a number"),
+    (dict(model="ba", m=30, n0=3.0, e=2), "n0", 3.0, "an integer"),
+    (dict(model="ba", m=30, n0=3, e=True), "e", True, "an integer"),
+])
+def test_wrong_type_specs_rejected_naming_the_field(spec, field, value, what):
+    with pytest.raises(InvalidParamError) as exc:
+        generate(NetworkSpec(**spec), rng(0))
+    assert str(exc.value) == f"{field} must be {what}, got {value!r}"
 
 
 def test_valid_specs_pass():
@@ -84,6 +98,9 @@ def test_valid_specs_pass():
     NetworkSpec("ws", 10, k=3, rp=0.0).validate()
     NetworkSpec("ba", 10, n0=4, e=4).validate()
     NetworkSpec("rg", 3_037_000_499, p=0.5).validate()  # m * m just fits intp
+    NetworkSpec("rg", np.int64(10), p=np.float32(0.5)).validate()
+    NetworkSpec("ws", np.int32(10), k=np.int64(3), rp=np.float64(0.1)).validate()
+    NetworkSpec("ba", np.int64(10), n0=np.uint8(4), e=np.int16(2)).validate()
 
 
 def test_labels():
@@ -494,9 +511,9 @@ def test_stats_equal_dense_oracle_at_bit_edges(m):
         net = Network(NetworkSpec("rg", m, p=p), adj | adj.T)
         try:
             want = oracle_compute_stats(net)
-        except DisconnectedError:
+        except InvalidParamError:
             raised += 1
-            with pytest.raises(DisconnectedError):
+            with pytest.raises(InvalidParamError, match=DISCONNECTED):
                 compute_stats(net)
         else:
             assert compute_stats(net) == want
@@ -601,7 +618,7 @@ def test_network_equality_is_identity():
 
 def test_stats_raise_on_disconnected():
     net = net_from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(InvalidParamError, match=DISCONNECTED):
         compute_stats(net)
 
 

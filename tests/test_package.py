@@ -53,3 +53,15 @@ def test_every_import_is_used(path):
             bound.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(bound - used) == []
+
+
+def test_every_error_class_is_raised():
+    # an error type that no raise in the package uses is a concept no caller
+    # can meet; NggError is the base callers catch, never raised itself
+    defined = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    raised = {node.exc.func.id for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and isinstance(node.exc.func, ast.Name)}
+    assert sorted(defined - raised - {"NggError"}) == []
