@@ -212,6 +212,43 @@ def test_to_dict_echo_materialises_defaults():
     assert "sweep" not in d
 
 
+def test_integer_valued_reals_echo_as_floats(tmp_path):
+    # JSON has one number type: `"beta": 1` means the real 1.0, and the
+    # report says so, as it does for a written 0.5
+    raw = base_raw(network={"model": "ws", "m": 12, "k": 2, "rp": 0},
+                   game={"n": 3, "beta": 1}, repetitions=1,
+                   sweep={"betas": [1, 0.5]})
+    cfg = parse_config(raw)
+    echo = cfg.to_dict()
+    assert repr(echo["network"]["rp"]) == "0.0"
+    assert repr(echo["game"]["beta"]) == "1.0"
+    assert repr(echo["sweep"]["betas"]) == "[1.0, 0.5]"
+    report = run_experiment(cfg, tmp_path)
+    assert [repr(row["beta"]) for row in report["points"]] == ["1.0", "0.5"]
+    text = (tmp_path / "report.json").read_text()
+    assert '"beta": 1.0' in text and '"rp": 0.0' in text
+    rg = parse_config(base_raw(network={"model": "rg", "m": 12, "p": 1}))
+    assert repr(rg.to_dict()["network"]["p"]) == "1.0"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["game.beta", "sweep.betas", "network.p",
+                                   "network.rp"])
+def test_non_finite_reals_rejected_naming_the_field(field, value):
+    # json.load accepts NaN and Infinity; no real field does
+    raw = base_raw()
+    if field == "network.rp":
+        raw["network"] = {"model": "ws", "m": 12, "k": 2, "rp": value}
+    elif field == "sweep.betas":
+        raw["sweep"] = {"betas": [0.5, value]}
+    else:
+        obj, key = field.split(".")
+        raw[obj][key] = value
+    with pytest.raises(ValidationError) as exc:
+        parse_config(json.loads(json.dumps(raw)))
+    assert exc.value.field == field
+
+
 _SWEEPS = (None,
            {"betas": [0.2, 0.9]},
            {"betas": [0.2], "group_sizes": [3, 4]},
