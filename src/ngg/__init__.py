@@ -16,8 +16,7 @@ from .engine import (GameParams, Group, PopulationState, RoundOutcome,
                      run_group_round, run_to_convergence,
                      select_transmitting_words, speak, transmit_count,
                      transmit_word, word_weights)
-from .errors import (ConnectivityFailureError, InvalidParamError, NggError,
-                     ValidationError)
+from .errors import ConnectivityFailureError, InvalidParamError, NggError
 from .harness import (ExperimentConfig, SweepSpec, derive_seed, load_config,
                       parse_config, run_experiment)
 from .metrics import (RunSummary, Trace, TraceRecord, aggregate_summaries,
@@ -33,7 +32,7 @@ __all__ = [
     "run_to_convergence", "select_transmitting_words", "speak",
     "transmit_count", "transmit_word", "word_weights",
     "ConnectivityFailureError", "InvalidParamError", "NggError",
-    "ValidationError", "ExperimentConfig", "SweepSpec", "derive_seed",
+    "ExperimentConfig", "SweepSpec", "derive_seed",
     "load_config", "parse_config", "run_experiment", "RunSummary", "Trace",
     "TraceRecord", "aggregate_summaries", "average_runs",
     "read_trace_columns", "summarize", "write_trace_csv",

@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (ConnectivityFailureError, InvalidParamError, NggError,
-                     ValidationError)
+from .errors import ConnectivityFailureError, InvalidParamError, NggError
 from .harness import load_config, run_experiment
 from .metrics import make_out_dir, read_trace_columns, write_atomic
 from .netgen import KNOBS, NetworkSpec, compute_stats, generate, write_edge_list
@@ -111,9 +110,11 @@ def _cmd_net(args) -> int:
 def _cmd_experiment(args, expect_sweep: bool) -> int:
     cfg = load_config(args.config)
     if expect_sweep and cfg.sweep is None:
-        raise ValidationError("sweep", "config has no sweep block; use `ngg run`")
+        raise InvalidParamError("sweep: config has no sweep block; use `ngg run`",
+                                "sweep")
     if not expect_sweep and cfg.sweep is not None:
-        raise ValidationError("sweep", "config declares a sweep; use `ngg sweep`")
+        raise InvalidParamError("sweep: config declares a sweep; use `ngg sweep`",
+                                "sweep")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
     report = run_experiment(cfg, out_dir=args.out)
@@ -136,14 +137,13 @@ def _cmd_experiment(args, expect_sweep: bool) -> int:
 def _cmd_plot(args) -> int:
     if not Path(args.out).parent.is_dir():
         raise InvalidParamError(f"cannot write {args.out}: no such directory")
-    if args.labels is not None and len(args.labels) != len(args.inputs):
-        raise InvalidParamError("--labels count must match --inputs")
-    labels = args.labels or [Path(p).stem for p in args.inputs]
-
     if args.kind == "metric-vs-beta":
         if args.metric is None or args.x is None:
             raise InvalidParamError(
                 "metric-vs-beta needs --metric and --x")
+        if args.labels is not None and len(args.labels) > 1:
+            raise InvalidParamError("--labels takes one value with --kind "
+                                    f"metric-vs-beta, got {len(args.labels)}")
         if len(args.x) != len(args.inputs):
             raise InvalidParamError("--x count must match --inputs")
         if not np.isfinite(args.x).all():
@@ -163,6 +163,9 @@ def _cmd_plot(args) -> int:
         for flag, value in (("--metric", args.metric), ("--x", args.x)):
             if value is not None:
                 raise InvalidParamError(f"{flag} needs --kind metric-vs-beta")
+        if args.labels is not None and len(args.labels) != len(args.inputs):
+            raise InvalidParamError("--labels count must match --inputs")
+        labels = args.labels or [Path(p).stem for p in args.inputs]
         col = TRACE_KINDS[args.kind]
         log_y = False
         series = []

@@ -71,22 +71,27 @@ class GameParams:
     max_iterations: int = 1_000_000
     vocabulary: Optional[int] = None
     group_size_basis: str = "nominal"
+    # the integer and the real fields, as validate() and a JSON echo read them
+    INTS = ("n", "max_iterations", "vocabulary")
+    REALS = ("beta",)
 
     def validate(self) -> None:
-        _check_types(self, ("n", "max_iterations", "vocabulary"), ("beta",))
+        """InvalidParamError naming in .field the first field out of type or range."""
+        _check_types(self, optional=("vocabulary",))
         if self.n < 2:
-            raise InvalidParamError(f"n must be >= 2, got {self.n}")
+            raise InvalidParamError(f"n must be >= 2, got {self.n}", "n")
         if not (0.0 < self.beta <= 1.0):
-            raise InvalidParamError(f"beta must be in (0, 1], got {self.beta}")
+            raise InvalidParamError(f"beta must be in (0, 1], got {self.beta}", "beta")
         if self.mode not in MODES:
-            raise InvalidParamError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise InvalidParamError(f"mode must be one of {MODES}, got {self.mode!r}",
+                                    "mode")
         if self.max_iterations < 1:
-            raise InvalidParamError("max_iterations must be >= 1")
+            raise InvalidParamError("max_iterations must be >= 1", "max_iterations")
         if self.vocabulary is not None and self.vocabulary < 1:
-            raise InvalidParamError("vocabulary size must be >= 1")
+            raise InvalidParamError("vocabulary size must be >= 1", "vocabulary")
         if self.group_size_basis not in GROUP_SIZE_BASES:
             raise InvalidParamError(
-                f"group_size_basis must be one of {GROUP_SIZE_BASES}")
+                f"group_size_basis must be one of {GROUP_SIZE_BASES}", "group_size_basis")
 
     def basis(self, group_size: int) -> int:
         """The group size that beta*N and the feedback n_succ/N divide by."""
@@ -447,7 +452,7 @@ def run_to_convergence(net: Network, params: GameParams, seed):
 
     params.validate()
     if params.n > net.m:
-        raise InvalidParamError(f"n={params.n} exceeds network size {net.m}")
+        raise InvalidParamError(f"n={params.n} exceeds network size {net.m}", "n")
     rng = _Draws(seed)
     pop = PopulationState(net.m)
     m, counts = net.m, pop._counts

@@ -1,12 +1,22 @@
 """Exception types shared across the package."""
 
+from typing import Optional
+
 
 class NggError(Exception):
     """Base class for all package-specific errors."""
 
 
 class InvalidParamError(NggError, ValueError):
-    """A bad argument, parameter, path or file (wrong type, range or content)."""
+    """A bad argument, parameter, path or file (wrong type, range or content).
+
+    .field names the parameter or config field at fault (`beta`, or
+    `game.beta` from a config), or is None where no one field is.
+    """
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        self.field = field
+        super().__init__(message)
 
 
 class ConnectivityFailureError(NggError):
@@ -19,11 +29,3 @@ class ConnectivityFailureError(NggError):
             msg += f" ({detail})"
         super().__init__(msg)
 
-
-class ValidationError(NggError):
-    """The configuration parsed but a field is missing, unknown, or out of range."""
-
-    def __init__(self, field: str, reason: str):
-        self.field = field
-        self.reason = reason
-        super().__init__(f"{field}: {reason}")

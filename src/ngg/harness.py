@@ -33,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .engine import MODES, GameParams, run_to_convergence
-from .errors import InvalidParamError, ValidationError
+from .engine import GameParams, run_to_convergence
+from .errors import InvalidParamError
 from .metrics import (aggregate_summaries, average_runs, make_out_dir,
                       write_atomic, write_trace_csv)
 from .netgen import KNOBS, NetworkSpec, generate
@@ -120,141 +120,120 @@ class ExperimentConfig:
         return d
 
 
-def _only_keys(obj: dict, where: str, required, allowed) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ValidationError(f"{where}.{key}", "unknown key")
-    for key in required:
-        if key not in obj:
-            raise ValidationError(f"{where}.{key}", "missing required key")
+def _bad(field: str, reason: str) -> InvalidParamError:
+    return InvalidParamError(f"{field}: {reason}", field)
 
 
-def _build(cls, obj, where: str, checkers: dict):
-    """cls from a JSON object whose keys are fields of cls, each value
-    through its checker; a key left out takes its dataclass default."""
+def _object(obj, where: str) -> dict:
     if not isinstance(obj, dict):
-        raise ValidationError(where, "must be an object")
-    _only_keys(obj, where,
-               [f.name for f in fields(cls) if f.default is MISSING],
-               [f.name for f in fields(cls)])
-    # top-level values are named bare: "repetitions", not "<root>.repetitions"
-    prefix = "" if where == "<root>" else f"{where}."
-    return cls(**{key: checkers[key](value, prefix + key)
-                  for key, value in obj.items()})
-
-
-def _validated(obj, where: str):
-    """obj once its validate() passes; an InvalidParamError is reported as
-    a ValidationError of the config field `where`."""
-    try:
-        obj.validate()
-    except InvalidParamError as exc:
-        raise ValidationError(where, str(exc)) from exc
+        raise _bad(where, "must be an object")
     return obj
 
 
-def _as_int(value, where: str, minimum: Optional[int] = None) -> int:
+def _only_keys(obj: dict, where: str, required, allowed) -> None:
+    for key in obj:
+        if key not in allowed:
+            raise _bad(f"{where}.{key}", "unknown key")
+    for key in required:
+        if key not in obj:
+            raise _bad(f"{where}.{key}", "missing required key")
+
+
+def _fields_of(cls, obj, where: str) -> dict:
+    """obj, a JSON object whose keys are fields of cls, with every field
+    that has no default."""
+    _only_keys(_object(obj, where), where,
+               [f.name for f in fields(cls) if f.default is MISSING],
+               [f.name for f in fields(cls)])
+    return obj
+
+
+def _validated(obj, where: str, key: Optional[str] = None):
+    """obj once its validate() passes, each of its REALS a float as a JSON
+    number echoes; a failure names the config field where.<key>, key being
+    by default the field that validate() names."""
+    try:
+        obj.validate()
+    except InvalidParamError as exc:
+        raise _bad(f"{where}.{key or exc.field}", str(exc)) from exc
+    return replace(obj, **{name: float(getattr(obj, name)) for name in obj.REALS
+                           if getattr(obj, name) is not None})
+
+
+def _as_int(value, where: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(where, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(where, f"must be >= {minimum}, got {value}")
+        raise _bad(where, f"expected an integer, got {value!r}")
+    if value < minimum:
+        raise _bad(where, f"must be >= {minimum}, got {value}")
     return value
-
-
-def _as_number(value, where: str) -> float:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ValidationError(where, f"expected a finite number, got {value!r}")
-    return float(value)
 
 
 def _as_type(kind: type, what: str):
     def check(value, where: str):
         if not isinstance(value, kind):
-            raise ValidationError(where, f"expected {what}, got {value!r}")
+            raise _bad(where, f"expected {what}, got {value!r}")
         return value
     return check
 
 
-def _as_mode(value, where: str) -> str:
-    if value not in MODES:  # a tuple, so an unhashable value compares unequal
-        raise ValidationError(where, f"unknown mode {value!r}")
-    return value
-
-
-def _as_list_of(check):
-    def as_list(values, where: str) -> tuple:
-        if not isinstance(values, list) or not values:
-            raise ValidationError(where, "must be a non-empty list")
-        return tuple(check(v, where) for v in values)
-    return as_list
-
-
 def _as_network(obj, where: str) -> NetworkSpec:
-    if not isinstance(obj, dict):
-        raise ValidationError(where, "must be an object")
-    model = obj.get("model")
-    if model not in tuple(KNOBS):  # not the dict: model may be unhashable
-        raise ValidationError(f"{where}.model",
-                              f"must be one of {tuple(KNOBS)}, got {model!r}")
+    model = _object(obj, where).get("model")
+    if model not in tuple(KNOBS):  # raises: validate() checks the model first
+        _validated(NetworkSpec(model, m=2), where)
     keys = ("model", "m") + KNOBS[model]
     _only_keys(obj, where, keys, keys)
-    knobs = {name: (_as_number if name in ("p", "rp") else _as_int)(
-                 obj[name], f"{where}.{name}")
-             for name in KNOBS[model]}
-    m = _as_int(obj["m"], f"{where}.m")
-    return _validated(NetworkSpec(model=model, m=m, **knobs), where)
+    return _validated(NetworkSpec(**obj), where)
 
 
-def _as_game(obj, where: str) -> GameParams:
-    return _validated(_build(GameParams, obj, where, _GAME_CHECKS), where)
+# sweep key -> the GameParams field whose values it lists
+_SWEPT = {"betas": "beta", "group_sizes": "n", "modes": "mode"}
 
 
-def _as_sweep(obj, where: str) -> SweepSpec:
-    sweep = _build(SweepSpec, obj, where, _SWEEP_CHECKS)
-    if sweep == SweepSpec():
-        raise ValidationError(where, "must list at least one dimension")
-    return sweep
+def _as_sweep(obj, where: str, game: GameParams) -> SweepSpec:
+    """Each listed value validated in the base game's place."""
+    if not _fields_of(SweepSpec, obj, where):
+        raise _bad(where, "must list at least one dimension")
+    dims = {}
+    for key, values in obj.items():
+        if not isinstance(values, list) or not values:
+            raise _bad(f"{where}.{key}", "must be a non-empty list")
+        name = _SWEPT[key]
+        dims[key] = tuple(
+            getattr(_validated(replace(game, **{name: v}), where, key), name)
+            for v in values)
+    return SweepSpec(**dims)
 
 
-_GAME_CHECKS = {
-    "n": _as_int,
-    "beta": _as_number,
-    "mode": _as_type(str, "a string"),
-    "max_iterations": _as_int,
-    "vocabulary": lambda v, where: None if v is None else _as_int(v, where),
-    "group_size_basis": _as_type(str, "a string"),
-}
-_SWEEP_CHECKS = {
-    "betas": _as_list_of(_as_number),
-    "group_sizes": _as_list_of(_as_int),
-    "modes": _as_list_of(_as_mode),
-}
+# the config's own fields; game, network and sweep values are checked by
+# GameParams.validate() and NetworkSpec.validate()
 _CONFIG_CHECKS = {
-    "network": _as_network,
-    "game": _as_game,
     "repetitions": lambda v, where: _as_int(v, where, minimum=1),
     "master_seed": lambda v, where: _as_int(v, where, minimum=0),
     "output_dir": _as_type(str, "a string"),
-    "sweep": _as_sweep,
     "fixed_network": _as_type(bool, "true or false"),
     "parallelism": lambda v, where: _as_int(v, where, minimum=1),
 }
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a decoded JSON object; unknown keys anywhere are rejected."""
-    cfg = _build(ExperimentConfig, raw, "<root>", _CONFIG_CHECKS)
-    m = cfg.network.m
-    if cfg.game.n > m:
-        raise ValidationError("game.n", f"exceeds network size m={m}")
-    # every sweep point must survive the same validation as the base game
-    for params in cfg.sweep_points():
-        _validated(params, "sweep")
-        if params.n > m:
-            raise ValidationError("sweep.group_sizes",
-                                  f"{params.n} exceeds network size m={m}")
-    return cfg
+    """Validate a decoded JSON object; unknown keys anywhere are rejected.
+    Every rejection is an InvalidParamError whose .field is the config path."""
+    _fields_of(ExperimentConfig, raw, "<root>")
+    network = _as_network(raw["network"], "network")
+    game = _validated(GameParams(**_fields_of(GameParams, raw["game"], "game")),
+                      "game")
+    m = network.m
+    if game.n > m:
+        raise _bad("game.n", f"exceeds network size m={m}")
+    sweep = _as_sweep(raw["sweep"], "sweep", game) if "sweep" in raw else None
+    for n in sweep and sweep.group_sizes or ():
+        if n > m:
+            raise _bad("sweep.group_sizes", f"{n} exceeds network size m={m}")
+    # top-level fields are named bare: "repetitions", not "<root>.repetitions"
+    return ExperimentConfig(
+        network=network, game=game, sweep=sweep,
+        **{key: check(raw[key], key) for key, check in _CONFIG_CHECKS.items()
+           if key in raw})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -295,19 +274,11 @@ def _job(args):
 
 
 def _worker_count(cfg: ExperimentConfig) -> int:
-    env = os.environ.get("NGG_PARALLELISM")
-    value = cfg.parallelism
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValidationError("NGG_PARALLELISM", f"not an integer: {env!r}")
-        if value < 1:
-            raise ValidationError("NGG_PARALLELISM", f"must be >= 1, got {value}")
     cpus = os.cpu_count() or 1
-    if value > cpus:
-        print(f"note: using {cpus} of {value} workers, one per CPU", file=sys.stderr)
-    return min(value, cpus)
+    if cfg.parallelism > cpus:
+        print(f"note: using {cpus} of {cfg.parallelism} workers, one per CPU",
+              file=sys.stderr)
+    return min(cfg.parallelism, cpus)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None):

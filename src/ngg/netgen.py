@@ -34,14 +34,17 @@ MAX_ATTEMPTS = 100
 KNOBS = {"rg": ("p",), "ws": ("k", "rp"), "ba": ("n0", "e")}
 
 
-def _check_types(obj, ints: tuple, reals: tuple) -> None:
-    """InvalidParamError naming the first field of obj set to a non-integer
-    (numpy's integers pass) or a non-number; a bool is neither."""
-    for name in ints + reals:
-        value, kind = getattr(obj, name), Integral if name in ints else Real
-        if isinstance(value, bool) or not isinstance(value, (kind, type(None))):
+def _check_types(obj, optional) -> None:
+    """InvalidParamError naming the first of obj's INTS set to a non-integer
+    (numpy's integers pass) or of its REALS set to a non-number; a bool is
+    neither, and None passes only in a field named in optional."""
+    for name in obj.INTS + obj.REALS:
+        value, kind = getattr(obj, name), Integral if name in obj.INTS else Real
+        if value is None and name in optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, kind):
             what = "an integer" if kind is Integral else "a number"
-            raise InvalidParamError(f"{name} must be {what}, got {value!r}")
+            raise InvalidParamError(f"{name} must be {what}, got {value!r}", name)
 
 # ----------------------------------------------------------------------
 # Specs and the Network container
@@ -65,39 +68,46 @@ class NetworkSpec:
     rp: Optional[float] = None
     n0: Optional[int] = None
     e: Optional[int] = None
+    # the integer and the real fields, as validate() and a JSON echo read them
+    INTS = ("m", "k", "n0", "e")
+    REALS = ("p", "rp")
 
     def validate(self) -> None:
+        """InvalidParamError naming in .field the first field out of type or
+        range; each knob of the model is required, every other one unset."""
         # a tuple, not the dict: an unhashable model is unknown, not a TypeError
         if self.model not in tuple(KNOBS):
-            raise InvalidParamError(f"unknown model {self.model!r}")
-        _check_types(self, ("m", "k", "n0", "e"), ("p", "rp"))
+            raise InvalidParamError(
+                f"model must be one of {tuple(KNOBS)}, got {self.model!r}", "model")
+        unused = [name for name in itertools.chain.from_iterable(KNOBS.values())
+                  if name not in KNOBS[self.model]]
+        _check_types(self, optional=unused)
         if self.m < 2:
-            raise InvalidParamError(f"m must be >= 2, got {self.m}")
+            raise InvalidParamError(f"m must be >= 2, got {self.m}", "m")
         if int(self.m) ** 2 > np.iinfo(np.intp).max:  # numpy cannot index adj
-            raise InvalidParamError(f"m={self.m} is too large for an m x m adjacency")
+            raise InvalidParamError(
+                f"m={self.m} is too large for an m x m adjacency", "m")
         if self.model == "rg":
-            if self.p is None or not (0.0 < self.p <= 1.0):
-                raise InvalidParamError(f"rg needs 0 < p <= 1, got {self.p}")
+            if not (0.0 < self.p <= 1.0):
+                raise InvalidParamError(f"rg needs 0 < p <= 1, got {self.p}", "p")
         elif self.model == "ws":
-            if self.k is None or self.k < 1:
-                raise InvalidParamError(f"ws needs k >= 1, got {self.k}")
+            if self.k < 1:
+                raise InvalidParamError(f"ws needs k >= 1, got {self.k}", "k")
             if 2 * self.k >= self.m:
                 raise InvalidParamError(
-                    f"ws needs 2k < m, got k={self.k} m={self.m}")
-            if self.rp is None or not (0.0 <= self.rp <= 1.0):
-                raise InvalidParamError(f"ws needs 0 <= rp <= 1, got {self.rp}")
+                    f"ws needs 2k < m, got k={self.k} m={self.m}", "k")
+            if not (0.0 <= self.rp <= 1.0):
+                raise InvalidParamError(f"ws needs 0 <= rp <= 1, got {self.rp}", "rp")
         else:
-            if self.n0 is None or self.e is None:
-                raise InvalidParamError("ba needs n0 and e")
             if not (1 <= self.e <= self.n0):
                 raise InvalidParamError(
-                    f"ba needs 1 <= e <= n0, got e={self.e} n0={self.n0}")
+                    f"ba needs 1 <= e <= n0, got e={self.e} n0={self.n0}", "e")
             if self.n0 >= self.m:
                 raise InvalidParamError(
-                    f"ba needs n0 < m, got n0={self.n0} m={self.m}")
-        for name in itertools.chain.from_iterable(KNOBS.values()):
-            if name not in KNOBS[self.model] and getattr(self, name) is not None:
-                raise InvalidParamError(f"{name} does not apply to this model")
+                    f"ba needs n0 < m, got n0={self.n0} m={self.m}", "n0")
+        for name in unused:
+            if getattr(self, name) is not None:
+                raise InvalidParamError(f"{name} does not apply to this model", name)
 
     def params(self) -> dict:
         """The model-relevant knobs as a plain dict (for JSON records)."""

@@ -295,6 +295,21 @@ def test_plot_metric_vs_beta_linear_for_other_metrics(tmp_path, traces):
     assert "yscale=linear" in svg_elements(svg, "desc")[0].text
 
 
+def test_plot_metric_vs_beta_takes_one_label(tmp_path, traces, capsys):
+    # the kind draws one series, so a second label would go unused
+    svg = tmp_path / "m.svg"
+    args = ["plot", "--kind", "metric-vs-beta", "--inputs", *traces,
+            "--metric", "n_iter_cvg", "--x", "0.8", "0.2", "--out", str(svg)]
+    capsys.readouterr()
+    assert main([*args, "--labels", "first", "second"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --labels takes one value with --kind metric-vs-beta, got 2\n")
+    assert not svg.exists()
+    assert main([*args, "--labels", "trend"]) == 0
+    texts = " ".join(t.text or "" for t in svg_elements(svg, "text"))
+    assert "trend" in texts
+
+
 @pytest.mark.parametrize("x", ["nan", "inf"])
 def test_plot_metric_vs_beta_non_finite_x_exits_2(tmp_path, traces, capsys, x):
     svg = tmp_path / "m.svg"

@@ -75,12 +75,15 @@ def test_invalid_params_rejected(kwargs):
     ("max_iterations", 1e3, "an integer"),
     ("vocabulary", 2.0, "an integer"),
     ("beta", True, "a number"),
+    ("n", None, "an integer"),
+    ("beta", None, "a number"),
 ])
 def test_wrong_type_params_rejected_naming_the_field(field, value, what):
     params = GameParams(**{"n": 5, "beta": 0.5, field: value})
     with pytest.raises(InvalidParamError) as exc:
         run_to_convergence(path_net(6), params, rng(0))
     assert str(exc.value) == f"{field} must be {what}, got {value!r}"
+    assert exc.value.field == field
 
 
 def test_numpy_scalar_params_accepted():

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ngg import harness, metrics
-from ngg.errors import InvalidParamError, ValidationError
+from ngg.errors import InvalidParamError
 from ngg.harness import (
     ExperimentConfig,
     SweepSpec,
@@ -103,12 +103,15 @@ def test_parse_minimal_config():
     (lambda r: r["network"].update(k=3), "network.k"),
     (lambda r: r["network"].pop("p"), "network.p"),
     (lambda r: r["network"].update(m="big"), "network.m"),
-    (lambda r: r["network"].update(m=10**11), "network"),  # numpy refuses m * m
-    (lambda r: r["game"].update(beta=0.0), "game"),
+    pytest.param(lambda r: r["network"].update(m=10**11), "network.m",
+                 id="<lambda>-network"),  # numpy refuses m * m
+    pytest.param(lambda r: r["game"].update(beta=0.0), "game.beta",
+                 id="<lambda>-game0"),
     (lambda r: r["game"].update(beta="half"), "game.beta"),
-    (lambda r: r["game"].update(n=1), "game"),
+    pytest.param(lambda r: r["game"].update(n=1), "game.n", id="<lambda>-game1"),
     (lambda r: r["game"].update(n=13), "game.n"),
-    (lambda r: r["game"].update(mode="loud"), "game"),
+    pytest.param(lambda r: r["game"].update(mode="loud"), "game.mode",
+                 id="<lambda>-game2"),
     (lambda r: r["game"].update(tempo=3), "game.tempo"),
     (lambda r: r.update(repetitions=0), "repetitions"),
     (lambda r: r.update(master_seed=-1), "master_seed"),
@@ -116,17 +119,18 @@ def test_parse_minimal_config():
     (lambda r: r.update(fixed_network="false"), "fixed_network"),
     (lambda r: r.update(fixed_network=1), "fixed_network"),
     (lambda r: r.update(output_dir=5), "output_dir"),
-    (lambda r: r.update(sweep={}), "sweep"),
+    pytest.param(lambda r: r.update(sweep={}), "sweep", id="<lambda>-sweep0"),
     (lambda r: r.update(sweep={"betas": []}), "sweep.betas"),
     (lambda r: r.update(sweep={"betas": [0.5], "speed": [1]}), "sweep.speed"),
     (lambda r: r.update(sweep={"modes": ["loudest"]}), "sweep.modes"),
-    (lambda r: r.update(sweep={"betas": [0.5, 2.0]}), "sweep"),
+    pytest.param(lambda r: r.update(sweep={"betas": [0.5, 2.0]}), "sweep.betas",
+                 id="<lambda>-sweep1"),
     (lambda r: r.update(sweep={"group_sizes": [3, 13]}), "sweep.group_sizes"),
 ])
 def test_parse_rejects_bad_configs(mutate, field):
     raw = base_raw()
     mutate(raw)
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(InvalidParamError) as exc:
         parse_config(raw)
     assert exc.value.field == field
 
@@ -175,14 +179,14 @@ def test_parse_config_raises_only_validation_error(network, path, drop, value):
             owner[key] = value
     try:
         parse_config(raw)
-    except ValidationError:
-        pass
+    except InvalidParamError as exc:
+        assert exc.field and str(exc).startswith(exc.field + ": ")
 
 
 def test_parse_boolean_is_not_a_number():
     raw = base_raw()
     raw["game"]["n"] = True
-    with pytest.raises(ValidationError):
+    with pytest.raises(InvalidParamError):
         parse_config(raw)
 
 
@@ -244,7 +248,18 @@ def test_non_finite_reals_rejected_naming_the_field(field, value):
     else:
         obj, key = field.split(".")
         raw[obj][key] = value
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(InvalidParamError) as exc:
+        parse_config(json.loads(json.dumps(raw)))
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("field", ["network.m", "network.p", "game.n",
+                                   "game.beta"])
+def test_null_in_a_required_field_rejected_naming_it(field):
+    raw = base_raw()
+    obj, key = field.split(".")
+    raw[obj][key] = None
+    with pytest.raises(InvalidParamError) as exc:
         parse_config(json.loads(json.dumps(raw)))
     assert exc.value.field == field
 
@@ -357,13 +372,10 @@ def test_rerun_reproduces_artifacts_byte_for_byte(tmp_path):
             assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_parallel_matches_sequential(tmp_path, monkeypatch):
-    cfg = small_cfg()
+def test_parallel_matches_sequential(tmp_path):
     seq, par = tmp_path / "seq", tmp_path / "par"
-    monkeypatch.delenv("NGG_PARALLELISM", raising=False)
-    run_experiment(cfg, seq)
-    monkeypatch.setenv("NGG_PARALLELISM", "2")
-    run_experiment(cfg, par)
+    run_experiment(small_cfg(), seq)
+    run_experiment(small_cfg(parallelism=2), par)
     for p1 in sorted(seq.iterdir()):
         if p1.name != "report.json":
             assert p1.read_bytes() == (par / p1.name).read_bytes()
@@ -371,7 +383,6 @@ def test_parallel_matches_sequential(tmp_path, monkeypatch):
 
 def test_run_csvs_written_as_results_arrive(tmp_path, monkeypatch):
     # the last job fails: the runs before it are already on disk
-    monkeypatch.delenv("NGG_PARALLELISM", raising=False)
     real_job = harness._job
 
     def job(args):
@@ -422,14 +433,6 @@ def test_failed_report_write_leaves_no_file(tmp_path, monkeypatch):
     assert all(n.endswith(".csv") and not n.startswith(".") for n in names)
 
 
-def test_parallelism_env_validation(tmp_path, monkeypatch):
-    cfg = small_cfg()
-    for bad in ("zero", "0"):
-        monkeypatch.setenv("NGG_PARALLELISM", bad)
-        with pytest.raises(ValidationError):
-            run_experiment(cfg, tmp_path)
-
-
 class _RecordingPool:
     """A stand-in ProcessPoolExecutor that records its size and runs inline."""
 
@@ -448,17 +451,11 @@ class _RecordingPool:
         return map(fn, jobs)
 
 
-@pytest.mark.parametrize("env, parallelism", [("64", 1), (None, 64)])
-def test_worker_count_clamped_to_cpus(tmp_path, monkeypatch, capsys, env,
-                                      parallelism):
-    if env is None:
-        monkeypatch.delenv("NGG_PARALLELISM", raising=False)
-    else:
-        monkeypatch.setenv("NGG_PARALLELISM", env)
+def test_worker_count_clamped_to_cpus(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
     _RecordingPool.sizes.clear()
-    run_experiment(small_cfg(parallelism=parallelism), tmp_path)
+    run_experiment(small_cfg(parallelism=64), tmp_path)
     assert _RecordingPool.sizes == [2]
     assert "using 2 of 64 workers" in capsys.readouterr().err
 

@@ -86,11 +86,18 @@ def test_invalid_specs_rejected(bad):
     (dict(model="ws", m=30, k=2, rp=False), "rp", False, "a number"),
     (dict(model="ba", m=30, n0=3.0, e=2), "n0", 3.0, "an integer"),
     (dict(model="ba", m=30, n0=3, e=True), "e", True, "an integer"),
+    (dict(model="rg", m=None, p=0.3), "m", None, "an integer"),
+    (dict(model="rg", m=30), "p", None, "a number"),
+    (dict(model="ws", m=30, rp=0.1), "k", None, "an integer"),
+    (dict(model="ws", m=30, k=2), "rp", None, "a number"),
+    (dict(model="ba", m=30, e=2), "n0", None, "an integer"),
+    (dict(model="ba", m=30, n0=3), "e", None, "an integer"),
 ])
 def test_wrong_type_specs_rejected_naming_the_field(spec, field, value, what):
     with pytest.raises(InvalidParamError) as exc:
         generate(NetworkSpec(**spec), rng(0))
     assert str(exc.value) == f"{field} must be {what}, got {value!r}"
+    assert exc.value.field == field
 
 
 def test_valid_specs_pass():
