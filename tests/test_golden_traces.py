@@ -47,6 +47,15 @@ GOLDEN = {
     # bounded vocabulary: inventions draw from the game RNG
     ("rg", "ngg", (("vocabulary", 3),)): (
         126, "3db1aa679a02fc5c237459d58da46cc64e3bf9bf74ce48dcce19f4eab3b6217b"),
+    # three words for the whole population: memories keep colliding, so
+    # hearers often hold the word already and adopts often change nothing
+    ("ba", "minimal", (("vocabulary", 3),)): (
+        4345, "20c89ef9b3840c234ef3059d74f37ea1e43bdc81dc89a7a5d0f298d2c93623e3"),
+    ("rg", "ngmh", (("vocabulary", 3),)): (
+        471, "e12ddb5176d76d30349ddabcbdcb87e5b19c29acfa4650790fa92726068ff489"),
+    # above 2**32 inventions take numpy's integers(), not the scalar draw
+    ("rg", "ngg", (("vocabulary", 2**40),)): (
+        248, "b95e8c31c6510de7ca8538a83288bbca954378e2e9c6f0c25b150d6cf6f0292a"),
     # ba groups vary in size, so the realised size changes count and feedback
     ("ba", "ngg", (("group_size_basis", "actual"),)): (
         537, "c972c7f6411245ff0b202ac9571e24eee3d68a5f0994b3178d507e2693630f67"),
