@@ -87,8 +87,11 @@ class GameParams:
                                     "mode")
         if self.max_iterations < 1:
             raise InvalidParamError("max_iterations must be >= 1", "max_iterations")
-        if self.vocabulary is not None and self.vocabulary < 1:
-            raise InvalidParamError("vocabulary size must be >= 1", "vocabulary")
+        if self.vocabulary is not None and not 1 <= self.vocabulary <= 1 << 63:
+            # numpy's integers(high) takes at most 2**63
+            raise InvalidParamError(
+                f"vocabulary size must be in [1, 2**63], got {self.vocabulary}",
+                "vocabulary")
         if self.group_size_basis not in GROUP_SIZE_BASES:
             raise InvalidParamError(
                 f"group_size_basis must be one of {GROUP_SIZE_BASES}", "group_size_basis")
@@ -132,6 +135,8 @@ class PopulationState:
     def adopt(self, agent: int, word: int) -> None:
         """Success: collapse the agent's memory to exactly [word]."""
         mem = self.memories[agent]
+        if len(mem) == 1 and mem[0] == word:
+            return  # already [word]: no count changes
         for x in mem:
             c = self._counts[x] - 1
             if c:
@@ -162,12 +167,26 @@ class Group:
 
 @dataclass
 class WeightTable:
-    """Node/word weights of one round, before transmission."""
+    """Node/word weights of one round, before transmission, as plain lists;
+    node_w, word_w and probs serve them as numpy arrays."""
 
-    node_w: np.ndarray   # per member: summed pair weights to the others
+    node_weights: list   # per member: summed pair weights to the others
     words: list          # distinct spoken words, first-spoken order
-    word_w: np.ndarray   # aligned with words
-    probs: np.ndarray    # word_w normalised to sum 1
+    word_weights: list   # aligned with words: summed weights of the speakers
+    sources: dict        # word -> its speakers, in member order
+
+    @property
+    def node_w(self) -> np.ndarray:
+        return np.asarray(self.node_weights)
+
+    @property
+    def word_w(self) -> np.ndarray:
+        return np.asarray(self.word_weights)
+
+    @property
+    def probs(self) -> np.ndarray:
+        """word_w normalised to sum 1."""
+        return self.word_w / sum(self.word_weights)
 
 
 @dataclass
@@ -220,11 +239,14 @@ def _speak_all(pop: PopulationState, members: Sequence[int], params: GameParams,
     Returns {member: word} in member order.
     """
     u = rng.random(len(members)).tolist()
+    memories = pop.memories
     out = {}
     for idx, agent in enumerate(members):
-        mem = pop.memories[agent]
-        if mem:
-            k = len(mem)
+        mem = memories[agent]
+        k = len(mem)
+        if k == 1:
+            out[agent] = mem[0]  # its pick u[idx] is drawn all the same
+        elif k:
             out[agent] = mem[min(int(u[idx] * k), k - 1)]
         else:
             out[agent] = speak(pop, agent, params, rng)
@@ -236,7 +258,8 @@ def word_weights(group: Group, spoken: dict, net: Network) -> WeightTable:
 
     spoken maps every group member to the word it spoke this round. Words
     are kept in first-spoken order (member order), which fixes the layout
-    of the probability vector for reproducible draws.
+    of the probability vector for reproducible draws. sources lists each
+    word's speakers in member order, for transmit_word.
 
     A member's node weight is 0.5 per other member plus another 0.5 per
     adjacent one. Every term is a multiple of 0.5, so all sums are exact:
@@ -250,22 +273,19 @@ def word_weights(group: Group, spoken: dict, net: Network) -> WeightTable:
         member_mask |= 1 << agent
     base = 0.5 * (len(members) - 1)
     node: list = []
-    words: list = []
-    index: dict = {}
-    acc: list = []
+    weight: dict = {}   # both dicts keep first-spoken order
+    sources: dict = {}
     for agent in members:
         nw = base + 0.5 * (masks[agent] & member_mask).bit_count()
         node.append(nw)
         w = spoken[agent]
-        at = index.get(w)
-        if at is None:
-            index[w] = len(words)
-            words.append(w)
-            acc.append(nw)
+        if w in sources:
+            weight[w] += nw
+            sources[w].append(agent)
         else:
-            acc[at] += nw
-    word_w = np.asarray(acc)
-    return WeightTable(np.asarray(node), words, word_w, word_w / sum(acc))
+            weight[w] = nw
+            sources[w] = [agent]
+    return WeightTable(node, list(sources), list(weight.values()), sources)
 
 
 def transmit_count(params: GameParams, actual_size: int) -> int:
@@ -277,33 +297,41 @@ def select_transmitting_words(wt: WeightTable, params: GameParams,
                               actual_size: int, rng: np.random.Generator) -> list:
     """Independent draws (with replacement); list order is transmission order.
 
-    The arithmetic of rng.choice(len(words), count, p=probs): a sequential
-    cumulative sum divided by its last entry, searched from the right by
-    random(count): the same picks and the same generator state.
+    The arithmetic of rng.choice(len(words), count, p=probs): probs (each
+    weight over the sum, as numpy divides), a sequential cumulative sum
+    divided by its last entry, searched from the right by random(count):
+    the same picks and the same generator state.
     """
     count = transmit_count(params, actual_size)
-    if len(wt.words) == 1:
-        return [wt.words[0]] * count
-    cdf = list(accumulate(wt.probs.tolist()))
-    total = cdf[-1]
-    cdf = [c / total for c in cdf]
-    return [wt.words[bisect_right(cdf, u)] for u in rng.random(count).tolist()]
+    words = wt.words
+    if len(words) == 1:
+        return [words[0]] * count
+    weights = wt.word_weights
+    total = sum(weights)
+    cdf = list(accumulate(w / total for w in weights))
+    last = cdf[-1]
+    cdf = [c / last for c in cdf]
+    return [words[bisect_right(cdf, u)] for u in rng.random(count).tolist()]
 
 
 def transmit_word(word: int, spoken: dict, group: Group, net: Network,
                   pop: PopulationState, unsuccessful: set, basis: int,
                   rng: np.random.Generator, *,
-                  deterministic_feedback: bool = False) -> int:
+                  deterministic_feedback: bool = False,
+                  sources: Optional[list] = None) -> int:
     """Broadcast one word; returns the number of hearer successes.
 
     Mutates pop and unsuccessful. Sources are the round-start speakers of
-    the word (their memories may have changed since; the source set does
-    not). Only members still in `unsuccessful` can hear, succeed, or get
-    feedback. With deterministic_feedback the speakers succeed exactly when
-    floor(n_succ/basis) >= 1 instead of with probability n_succ/basis.
+    the word in member order (their memories may have changed since; the
+    source set does not): WeightTable.sources[word], or worked out from
+    spoken when not given. Only members still in `unsuccessful` can hear,
+    succeed, or get feedback. With deterministic_feedback the speakers
+    succeed exactly when floor(n_succ/basis) >= 1 instead of with
+    probability n_succ/basis.
     """
     members = group.members
-    sources = [i for i in members if spoken.get(i) == word]
+    if sources is None:
+        sources = [i for i in members if spoken.get(i) == word]
     if not sources:
         raise InvalidParamError(f"word {word} has no round-start speaker")
     sole = sources[0] if len(sources) == 1 else None
@@ -312,22 +340,26 @@ def transmit_word(word: int, spoken: dict, group: Group, net: Network,
         src_mask |= 1 << s
 
     masks = net.neighbor_masks()
-    listeners = [i for i in members if i in unsuccessful]
+    # a direct caller's set may hold non-members, so compare by content
+    listeners = (members if unsuccessful.issuperset(members)
+                 else [i for i in members if i in unsuccessful])
     # No node is its own neighbour, so a source's mask only reacts to the
-    # *other* sources; non-adjacent listeners fall through to the 0.5 coin.
+    # *other* sources; non-adjacent listeners fall through to the 0.5 coin,
+    # tested first because it is the cheaper of the two.
     u = rng.random(len(listeners)).tolist()
+    memories, adopt, learn = pop.memories, pop.adopt, pop.learn
     n_succ = 0
     for agent, ui in zip(listeners, u):
         if agent == sole:
             continue  # a lone source cannot hear itself (pair weight 0)
-        if not (masks[agent] & src_mask or ui < 0.5):
+        if ui >= 0.5 and not masks[agent] & src_mask:
             continue
-        if word in pop.memories[agent]:
-            pop.adopt(agent, word)
+        if word in memories[agent]:
+            adopt(agent, word)
             unsuccessful.discard(agent)
             n_succ += 1
         else:
-            pop.learn(agent, word)
+            learn(agent, word)
 
     waiting = [s for s in sources if s in unsuccessful]
     if deterministic_feedback:
@@ -363,7 +395,8 @@ def run_group_round(net: Network, pop: PopulationState, params: GameParams,
     for w in picks:
         if not unsuccessful:
             break  # members never rejoin: the rest of the picks reach nobody
-        heard += transmit_word(w, spoken, group, net, pop, unsuccessful, basis, rng)
+        heard += transmit_word(w, spoken, group, net, pop, unsuccessful, basis, rng,
+                               sources=wt.sources[w])
     successful = len(members) - len(unsuccessful)
     return RoundOutcome(len(members), picks, heard, successful,
                         successful / len(members))

@@ -214,6 +214,18 @@ def test_run_unconverged_exits_4(tmp_path, capsys):
     assert "unconverged" in captured.err
 
 
+@pytest.mark.parametrize("vocabulary, code", [(2**63, 0), (2**64, 2)])
+def test_run_vocabulary_past_numpy_integers_exits_2(tmp_path, capsys,
+                                                    vocabulary, code):
+    # numpy's integers(high), the invention draw, takes high up to 2**63
+    cfg = write_config(tmp_path, game={"n": 3, "beta": 0.5,
+                                       "vocabulary": vocabulary})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == ("" if code == 0 else (
+        "error: game.vocabulary: vocabulary size must be in [1, 2**63], "
+        f"got {vocabulary}\n"))
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_run_out_naming_a_file_exits_2(tmp_path, capsys, command):
     over = {"sweep": {"betas": [0.5, 1.0]}} if command == "sweep" else {}

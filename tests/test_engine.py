@@ -1,5 +1,7 @@
 """Game engine: weights, transmission, rounds, convergence."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -86,6 +88,18 @@ def test_wrong_type_params_rejected_naming_the_field(field, value, what):
     assert exc.value.field == field
 
 
+def test_vocabulary_bounded_by_numpy_integers():
+    # numpy's integers(high) takes high up to 2**63 and no further
+    top = GameParams(n=3, beta=0.5, vocabulary=2**63, max_iterations=50)
+    trace, _ = run_to_convergence(path_net(6), top, 0)
+    assert len(trace) >= 1
+    with pytest.raises(InvalidParamError) as exc:
+        GameParams(n=3, beta=0.5, vocabulary=2**63 + 1).validate()
+    assert exc.value.field == "vocabulary"
+    assert str(exc.value) == (
+        f"vocabulary size must be in [1, 2**63], got {2**63 + 1}")
+
+
 def test_numpy_scalar_params_accepted():
     GameParams(n=np.int64(5), beta=np.float32(0.5), max_iterations=np.int32(9),
                vocabulary=np.uint8(3)).validate()
@@ -121,6 +135,26 @@ def test_population_counters_match_recount(ops):
         held = {tuple(mem) for mem in pop.memories}
         single = len(held) == 1 and len(next(iter(held))) == 1
         assert pop.converged_word() == (next(iter(held))[0] if single else None)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["learn", "adopt", "readopt"]),
+                          st.integers(0, 3), st.integers(0, 2)), max_size=80))
+def test_word_counts_match_recount(ops):
+    # "readopt" adopts a one-word memory's own word: the no-op fast path
+    pop = PopulationState(4)
+    for op, agent, word in ops:
+        mem = pop.memories[agent]
+        if op == "readopt" and len(mem) == 1:
+            pop.adopt(agent, mem[0])
+            assert pop.memories[agent] is mem and mem == [mem[0]]
+        elif op == "adopt":
+            pop.adopt(agent, word)
+            assert mem == [word]
+        elif word not in mem:
+            pop.learn(agent, word)
+        recount = Counter(w for m in pop.memories for w in m)
+        assert pop._counts == recount
+        assert pop.total_words == recount.total()
 
 
 def test_adopt_word_not_previously_held():
@@ -354,11 +388,11 @@ _WORD_WEIGHTS = st.lists(st.integers(1, 40).map(lambda k: k / 2),
 
 
 def _weight_table(weights) -> WeightTable:
-    """A table over distinct words with the given weights, probs as word_weights
-    computes them."""
-    word_w = np.asarray(weights)
-    return WeightTable(word_w, [100 + 3 * i for i in range(len(weights))],
-                       word_w, word_w / sum(weights))
+    """A table over distinct words with the given weights, one speaker each,
+    as word_weights builds it."""
+    words = [100 + 3 * i for i in range(len(weights))]
+    return WeightTable(list(weights), words, list(weights),
+                       {w: [i] for i, w in enumerate(words)})
 
 
 @settings(deadline=None, max_examples=300)
@@ -560,6 +594,70 @@ def test_transmit_deterministic_feedback_floor():
         transmit_word(2, {0: 2}, Group(0, (0, 1, 2, 3, 4)), net, pop,
                       unsuccessful, basis, rng(0), deterministic_feedback=True)
         assert (0 not in unsuccessful) == expect_seed_success
+
+
+@st.composite
+def _broadcasts(draw):
+    """A group on a random graph, its spoken words, everyone's memories and
+    an unsuccessful set that may hold non-members."""
+    m = draw(st.integers(2, 9))
+    pairs = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=20))
+    members = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=m,
+                            unique=True))
+    spoken = {a: draw(st.integers(0, 3)) for a in members}
+    memories = [draw(st.lists(st.integers(0, 4), unique=True, max_size=3))
+                for _ in range(m)]
+    if draw(st.booleans()):
+        unsuccessful = set(members)
+    else:
+        unsuccessful = draw(st.sets(st.sampled_from(members)))
+    # outsiders: nodes of the network outside the group, and no node at all
+    unsuccessful |= draw(st.sets(st.integers(0, m + 2).filter(
+        lambda i: i not in spoken)))
+    return net_from_edges(m, edges), members, spoken, memories, unsuccessful
+
+
+@settings(deadline=None, max_examples=300)
+@given(_broadcasts(), st.data(), st.booleans(), st.integers(0, 2**32))
+def test_transmit_with_sources_map_matches_comprehension(case, data,
+                                                         deterministic, seed):
+    net, members, spoken, memories, unsuccessful = case
+    group = Group(members[0], tuple(members))
+    wt = word_weights(group, spoken, net)
+    assert list(wt.sources) == wt.words
+    for w in wt.words:
+        assert wt.sources[w] == [i for i in members if spoken[i] == w]
+
+    pops, sets, gens = [], [], []
+    for _ in range(2):
+        pop = PopulationState(net.m)
+        for agent, mem in enumerate(memories):
+            for w in mem:
+                pop.learn(agent, w)
+        pops.append(pop)
+        sets.append(set(unsuccessful))
+        gens.append(rng(seed))
+    basis = data.draw(st.integers(1, len(members)))
+    broadcast = data.draw(st.lists(st.sampled_from(wt.words), min_size=1,
+                                   max_size=4))
+    for w in broadcast:
+        kw = dict(deterministic_feedback=deterministic)
+        a = transmit_word(w, spoken, group, net, pops[0], sets[0], basis,
+                          gens[0], **kw)
+        b = transmit_word(w, spoken, group, net, pops[1], sets[1], basis,
+                          gens[1], sources=wt.sources[w], **kw)
+        assert a == b
+        assert pops[0].memories == pops[1].memories
+        assert pops[0]._counts == pops[1]._counts
+        assert pops[0].total_words == pops[1].total_words
+        assert sets[0] == sets[1]
+        assert plain(gens[0].bit_generator.state) == plain(
+            gens[1].bit_generator.state)
+    # only the members still waiting at the start can hear or adopt
+    for agent, mem in enumerate(memories):
+        if agent not in unsuccessful or agent not in spoken:
+            assert pops[1].memories[agent] == mem
 
 
 def test_transmit_unknown_source():
