@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -165,28 +165,34 @@ class Group:
     members: tuple  # seed first, then the recruited neighbours
 
 
+def _probs(weights: list) -> list:
+    """Each weight over the sum: the floats numpy's elementwise division gives."""
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
 @dataclass
 class WeightTable:
     """Node/word weights of one round, before transmission, as plain lists;
     node_w, word_w and probs serve them as numpy arrays."""
 
-    node_weights: list   # per member: summed pair weights to the others
-    words: list          # distinct spoken words, first-spoken order
-    word_weights: list   # aligned with words: summed weights of the speakers
-    sources: dict        # word -> its speakers, in member order
+    node_sums: list   # per member: summed pair weights to the others
+    words: list       # distinct spoken words, first-spoken order
+    word_sums: list   # aligned with words: summed weights of the speakers
+    sources: dict = field(kw_only=True)  # word -> its speakers, member order
 
     @property
     def node_w(self) -> np.ndarray:
-        return np.asarray(self.node_weights)
+        return np.asarray(self.node_sums)
 
     @property
     def word_w(self) -> np.ndarray:
-        return np.asarray(self.word_weights)
+        return np.asarray(self.word_sums)
 
     @property
     def probs(self) -> np.ndarray:
         """word_w normalised to sum 1."""
-        return self.word_w / sum(self.word_weights)
+        return np.asarray(_probs(self.word_sums))
 
 
 @dataclass
@@ -285,7 +291,8 @@ def word_weights(group: Group, spoken: dict, net: Network) -> WeightTable:
         else:
             weight[w] = nw
             sources[w] = [agent]
-    return WeightTable(node, list(sources), list(weight.values()), sources)
+    return WeightTable(node, list(sources), list(weight.values()),
+                       sources=sources)
 
 
 def transmit_count(params: GameParams, actual_size: int) -> int:
@@ -306,9 +313,7 @@ def select_transmitting_words(wt: WeightTable, params: GameParams,
     words = wt.words
     if len(words) == 1:
         return [words[0]] * count
-    weights = wt.word_weights
-    total = sum(weights)
-    cdf = list(accumulate(w / total for w in weights))
+    cdf = list(accumulate(_probs(wt.word_sums)))
     last = cdf[-1]
     cdf = [c / last for c in cdf]
     return [words[bisect_right(cdf, u)] for u in rng.random(count).tolist()]
@@ -340,9 +345,7 @@ def transmit_word(word: int, spoken: dict, group: Group, net: Network,
         src_mask |= 1 << s
 
     masks = net.neighbor_masks()
-    # a direct caller's set may hold non-members, so compare by content
-    listeners = (members if unsuccessful.issuperset(members)
-                 else [i for i in members if i in unsuccessful])
+    listeners = [i for i in members if i in unsuccessful]
     # No node is its own neighbour, so a source's mask only reacts to the
     # *other* sources; non-adjacent listeners fall through to the 0.5 coin,
     # tested first because it is the cheaper of the two.

@@ -323,6 +323,12 @@ def test_word_weights_star_group():
     assert abs(wt.probs[1] - 10.0 / 14.0) < 1e-15
 
 
+def test_weight_table_rejects_the_old_positional_probs():
+    # the fourth field used to be probs; it must not pass as sources
+    with pytest.raises(TypeError):
+        WeightTable([1.0, 1.0], [3, 4], [1.0, 1.0], np.array([0.5, 0.5]))
+
+
 def test_word_weights_match_oracle_randomized():
     r = rng(11)
     for _ in range(250):
@@ -378,7 +384,7 @@ def _weight_table(weights) -> WeightTable:
     as word_weights builds it."""
     words = [100 + 3 * i for i in range(len(weights))]
     return WeightTable(list(weights), words, list(weights),
-                       {w: [i] for i, w in enumerate(words)})
+                       sources={w: [i] for i, w in enumerate(words)})
 
 
 @settings(deadline=None, max_examples=300)
