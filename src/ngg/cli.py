@@ -150,7 +150,7 @@ def _cmd_plot(args) -> int:
             raise InvalidParamError(f"--x values must be finite, got {args.x}")
         try:
             values = [_extract_metric(path, args.metric) for path in args.inputs]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise InvalidParamError(f"unreadable report.json beside the inputs: {exc!r}")
         order = np.argsort(args.x, kind="stable")
         xs = [args.x[i] for i in order]
@@ -196,7 +196,8 @@ def _extract_metric(path: str, metric: str) -> float:
     converged), is an error naming the file."""
     report = Path(path).parent / "report.json"
     name = Path(path).name
-    rows = json.loads(report.read_text())["points"] if report.is_file() else []
+    rows = (json.loads(report.read_text(encoding="utf-8"))["points"]
+            if report.is_file() else [])
     for row in rows:
         if row["avg_trace"] == name:
             if row[metric]["mean"] is None:

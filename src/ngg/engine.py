@@ -198,7 +198,7 @@ class WeightTable:
 @dataclass
 class RoundOutcome:
     group_size: int
-    transmitted: list       # broadcast words in transmission order
+    transmitted: list       # every word drawn for broadcast, in draw order
     heard: int              # hearer successes summed over the broadcasts
     successful_members: int
     sr: float               # successful_members / group_size

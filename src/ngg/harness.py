@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from itertools import product
@@ -37,7 +37,7 @@ from .engine import GameParams, run_to_convergence
 from .errors import InvalidParamError
 from .metrics import (aggregate_summaries, average_runs, make_out_dir,
                       write_atomic, write_trace_csv)
-from .netgen import KNOBS, NetworkSpec, generate
+from .netgen import NetworkSpec, _check_types, generate
 
 # ----------------------------------------------------------------------
 # Seed derivation
@@ -81,6 +81,24 @@ def _run_streams(run_seed: int) -> tuple:
 # ----------------------------------------------------------------------
 
 
+# sweep key -> the GameParams field whose values it lists
+_SWEPT = {"betas": "beta", "group_sizes": "n", "modes": "mode"}
+
+
+def _bad(field: str, reason: str) -> InvalidParamError:
+    return InvalidParamError(f"{field}: {reason}", field)
+
+
+@contextmanager
+def _named(prefix: str, field: Optional[str] = None):
+    """Re-raise the block's InvalidParamError naming the config path
+    prefix + field, field being by default the one the error names."""
+    try:
+        yield
+    except InvalidParamError as exc:
+        raise _bad(prefix + (field or exc.field), str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     betas: Optional[tuple] = None
@@ -98,6 +116,53 @@ class ExperimentConfig:
     sweep: Optional[SweepSpec] = None
     fixed_network: bool = False
     parallelism: int = 1
+    # the integer and the real fields, as validate() and a JSON echo read them
+    INTS = ("repetitions", "master_seed", "parallelism")
+    REALS = ()
+
+    def validate(self) -> None:
+        """InvalidParamError naming in .field the config path of the first
+        field out of type or range (`repetitions`, `network.p`, `game.beta`,
+        and for a swept value its list, `sweep.betas`). Each swept value is
+        checked in the base game's place, and no group size may exceed m."""
+        with _named(""):
+            _check_types(self, optional=())
+            for name, minimum in (("repetitions", 1), ("master_seed", 0),
+                                  ("parallelism", 1)):
+                if getattr(self, name) < minimum:
+                    raise InvalidParamError(
+                        f"must be >= {minimum}, got {getattr(self, name)}", name)
+            for name, kind, what in (
+                    ("output_dir", str, "a string"),
+                    ("fixed_network", bool, "true or false"),
+                    ("network", NetworkSpec, "a NetworkSpec"),
+                    ("game", GameParams, "a GameParams"),
+                    ("sweep", (SweepSpec, type(None)), "a SweepSpec or None")):
+                if not isinstance(getattr(self, name), kind):
+                    raise InvalidParamError(
+                        f"expected {what}, got {getattr(self, name)!r}", name)
+        with _named("network."):
+            self.network.validate()
+        m = self.network.m
+        with _named("game."):
+            self.game.validate()
+            if self.game.n > m:
+                raise InvalidParamError(f"exceeds network size m={m}", "n")
+        if self.sweep is None:
+            return
+        if self.sweep == SweepSpec():
+            raise _bad("sweep", "must list at least one dimension")
+        for key, name in _SWEPT.items():
+            values = getattr(self.sweep, key)
+            if values is not None and not (isinstance(values, (tuple, list))
+                                           and values):
+                raise _bad(f"sweep.{key}", "must be a non-empty list")
+            with _named("sweep.", key):
+                for value in values or ():
+                    replace(self.game, **{name: value}).validate()
+                    if name == "n" and value > m:
+                        raise InvalidParamError(
+                            f"{value} exceeds network size m={m}", name)
 
     def sweep_points(self) -> list:
         """GameParams per point: modes x group_sizes x betas, config order."""
@@ -120,130 +185,57 @@ class ExperimentConfig:
         return d
 
 
-def _bad(field: str, reason: str) -> InvalidParamError:
-    return InvalidParamError(f"{field}: {reason}", field)
-
-
-def _object(obj, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise _bad(where, "must be an object")
-    return obj
-
-
-def _only_keys(obj: dict, where: str, required, allowed) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise _bad(f"{where}.{key}", "unknown key")
-    for key in required:
-        if key not in obj:
-            raise _bad(f"{where}.{key}", "missing required key")
-
-
 def _fields_of(cls, obj, where: str) -> dict:
     """obj, a JSON object whose keys are fields of cls, with every field
     that has no default."""
-    _only_keys(_object(obj, where), where,
-               [f.name for f in fields(cls) if f.default is MISSING],
-               [f.name for f in fields(cls)])
+    if not isinstance(obj, dict):
+        raise _bad(where, "must be an object")
+    names = [f.name for f in fields(cls)]
+    for key in obj:
+        if key not in names:
+            raise _bad(f"{where}.{key}", "unknown key")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in obj:
+            raise _bad(f"{where}.{f.name}", "missing required key")
     return obj
 
 
-def _validated(obj, where: str, key: Optional[str] = None):
-    """obj once its validate() passes, each of its REALS a float as a JSON
-    number echoes; a failure names the config field where.<key>, key being
-    by default the field that validate() names."""
-    try:
-        obj.validate()
-    except InvalidParamError as exc:
-        raise _bad(f"{where}.{key or exc.field}", str(exc)) from exc
+def _floats(obj):
+    """obj with each of its REALS a float, as a JSON echo writes a real."""
     return replace(obj, **{name: float(getattr(obj, name)) for name in obj.REALS
                            if getattr(obj, name) is not None})
 
 
-def _as_int(value, where: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _bad(where, f"expected an integer, got {value!r}")
-    if value < minimum:
-        raise _bad(where, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_type(kind: type, what: str):
-    def check(value, where: str):
-        if not isinstance(value, kind):
-            raise _bad(where, f"expected {what}, got {value!r}")
-        return value
-    return check
-
-
-def _as_network(obj, where: str) -> NetworkSpec:
-    model = _object(obj, where).get("model")
-    if model not in tuple(KNOBS):  # raises: validate() checks the model first
-        _validated(NetworkSpec(model, m=2), where)
-    keys = ("model", "m") + KNOBS[model]
-    _only_keys(obj, where, keys, keys)
-    return _validated(NetworkSpec(**obj), where)
-
-
-# sweep key -> the GameParams field whose values it lists
-_SWEPT = {"betas": "beta", "group_sizes": "n", "modes": "mode"}
-
-
-def _as_sweep(obj, where: str, game: GameParams) -> SweepSpec:
-    """Each listed value validated in the base game's place."""
-    if not _fields_of(SweepSpec, obj, where):
-        raise _bad(where, "must list at least one dimension")
-    dims = {}
-    for key, values in obj.items():
-        if not isinstance(values, list) or not values:
-            raise _bad(f"{where}.{key}", "must be a non-empty list")
-        name = _SWEPT[key]
-        dims[key] = tuple(
-            getattr(_validated(replace(game, **{name: v}), where, key), name)
-            for v in values)
-    return SweepSpec(**dims)
-
-
-# the config's own fields; game, network and sweep values are checked by
-# GameParams.validate() and NetworkSpec.validate()
-_CONFIG_CHECKS = {
-    "repetitions": lambda v, where: _as_int(v, where, minimum=1),
-    "master_seed": lambda v, where: _as_int(v, where, minimum=0),
-    "output_dir": _as_type(str, "a string"),
-    "fixed_network": _as_type(bool, "true or false"),
-    "parallelism": lambda v, where: _as_int(v, where, minimum=1),
-}
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a decoded JSON object; unknown keys anywhere are rejected.
-    Every rejection is an InvalidParamError whose .field is the config path."""
+    """Build the config a decoded JSON object describes and validate() it;
+    unknown keys anywhere are rejected. Every rejection is an
+    InvalidParamError whose .field is the config path."""
     _fields_of(ExperimentConfig, raw, "<root>")
-    network = _as_network(raw["network"], "network")
-    game = _validated(GameParams(**_fields_of(GameParams, raw["game"], "game")),
-                      "game")
-    m = network.m
-    if game.n > m:
-        raise _bad("game.n", f"exceeds network size m={m}")
-    sweep = _as_sweep(raw["sweep"], "sweep", game) if "sweep" in raw else None
-    for n in sweep and sweep.group_sizes or ():
-        if n > m:
-            raise _bad("sweep.group_sizes", f"{n} exceeds network size m={m}")
+    sweep = None
+    if "sweep" in raw:  # lists become tuples; validate() rejects any other value
+        sweep = SweepSpec(**{key: tuple(v) if isinstance(v, list) else v for key, v
+                             in _fields_of(SweepSpec, raw["sweep"], "sweep").items()})
     # top-level fields are named bare: "repetitions", not "<root>.repetitions"
-    return ExperimentConfig(
-        network=network, game=game, sweep=sweep,
-        **{key: check(raw[key], key) for key, check in _CONFIG_CHECKS.items()
-           if key in raw})
+    cfg = ExperimentConfig(
+        network=NetworkSpec(**_fields_of(NetworkSpec, raw["network"], "network")),
+        game=GameParams(**_fields_of(GameParams, raw["game"], "game")),
+        sweep=sweep, **{key: value for key, value in raw.items()
+                        if key not in ("network", "game", "sweep")})
+    cfg.validate()
+    if sweep is not None and sweep.betas:
+        sweep = replace(sweep, betas=tuple(float(b) for b in sweep.betas))
+    return replace(cfg, network=_floats(cfg.network), game=_floats(cfg.game),
+                   sweep=sweep)
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read and validate an experiment config file."""
+    """Read and validate an experiment config file (UTF-8 JSON)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise InvalidParamError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise InvalidParamError(f"{path}: {exc}") from exc
     return parse_config(raw)
 
@@ -284,13 +276,15 @@ def _worker_count(cfg: ExperimentConfig) -> int:
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Execute every (point, repetition) run and write all artifacts.
 
-    Each run's CSV is written as its result arrives, in job order, and
-    report.json last. Returns the report dict that report.json holds. Capped
-    runs are flagged in their report row, never raised; callers decide what
+    cfg.validate() runs first, so an invalid config writes nothing. Each
+    run's CSV is written as its result arrives, in job order, and report.json
+    last. Returns the report dict that report.json holds. Capped runs are
+    flagged in their report row, never raised; callers decide what
     non-convergence means. Timing (each run's network build plus game, in
     seconds) goes only into the report's metadata, so every other artifact is
     reproducible byte for byte.
     """
+    cfg.validate()
     out = make_out_dir(out_dir if out_dir is not None else cfg.output_dir)
     points = cfg.sweep_points()
     jobs = [(cfg, pi, ri, params)

@@ -7,7 +7,8 @@ The trace of a run has one entry per completed iteration:
   n_diff         number of distinct words held anywhere
   sr             successful members / group size of this round
   group_size     realised group size of this round
-  n_transmitted  how many word broadcasts the round performed
+  n_transmitted  words drawn for broadcast, max(1, round(beta*basis)),
+                 including draws left unbroadcast once every member has succeeded
 
 A Trace stores the last five as columns; the iteration is the position.
 Traces persist as CSV with exactly that header. Averaged traces (one per

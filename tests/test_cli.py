@@ -249,6 +249,15 @@ def test_run_bad_json_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_run_non_utf8_config_exits_2_naming_it(tmp_path, capsys):
+    # JSON files are UTF-8 (RFC 8259), whatever the locale
+    cfg = Path(write_config(tmp_path))
+    cfg.write_bytes(b"\xff\xfe" + cfg.read_text().encode("utf-16-le"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: 'utf-8' codec")
+    assert not (tmp_path / "o").exists()
+
+
 # ----------------------------------------------------------------------
 # plot
 # ----------------------------------------------------------------------
@@ -424,6 +433,17 @@ def test_plot_metric_vs_beta_rejects_foreign_report(tmp_path, capsys, traces):
                  "--inputs", str(runs / "point000_avg.csv"), "--x", "0.5",
                  "--out", str(tmp_path / "m.svg")]) == 2
     assert "report.json" in capsys.readouterr().err
+
+
+def test_plot_metric_vs_beta_non_utf8_report_exits_2(tmp_path, capsys, traces):
+    report = Path(traces[0]).parent / "report.json"
+    report.write_bytes(b"\xff\xfe" + report.read_text().encode("utf-16-le"))
+    assert main(["plot", "--kind", "metric-vs-beta", "--metric", "n_iter_cvg",
+                 "--inputs", traces[0], "--x", "0.5",
+                 "--out", str(tmp_path / "m.svg")]) == 2
+    err = capsys.readouterr().err
+    assert "report.json" in err and "UnicodeDecodeError" in err
+    assert not (tmp_path / "m.svg").exists()
 
 
 def test_plot_failed_write_leaves_no_file(tmp_path, monkeypatch, traces):

@@ -3,6 +3,7 @@
 import builtins
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ngg import harness, metrics
+from ngg.engine import GameParams
 from ngg.errors import InvalidParamError
 from ngg.harness import (
     ExperimentConfig,
@@ -503,3 +505,30 @@ def test_experiment_config_direct_construction():
         sweep=SweepSpec(betas=(0.5,)),
     )
     assert len(cfg.sweep_points()) == 1
+
+
+@pytest.mark.parametrize("over,field", [
+    ({"repetitions": 0}, "repetitions"),
+    ({"parallelism": 0}, "parallelism"),
+    ({"master_seed": -1}, "master_seed"),
+    ({"fixed_network": "no"}, "fixed_network"),
+    ({"sweep": SweepSpec(betas=(0.5, 2.0))}, "sweep.betas"),
+    ({"sweep": SweepSpec(group_sizes=(3, 13))}, "sweep.group_sizes"),
+    ({"game": GameParams(n=13, beta=0.5)}, "game.n"),
+    ({"sweep": SweepSpec()}, "sweep"),
+    ({"sweep": SweepSpec(betas=())}, "sweep.betas"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_run_experiment_rejects_a_library_config_before_any_artifact(
+        tmp_path, over, field):
+    # the config as Python builds it, without the JSON layer: run_experiment
+    # holds it to parse_config's rules, naming the same field, and writes
+    # nothing; its echo would be rejected the same way
+    cfg = replace(parse_config(base_raw()), **over)
+    with pytest.raises(InvalidParamError) as exc:
+        run_experiment(cfg, tmp_path)
+    assert exc.value.field == field
+    assert str(exc.value).startswith(field + ": ")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(InvalidParamError) as echoed:
+        parse_config(json.loads(json.dumps(cfg.to_dict())))
+    assert echoed.value.field == field

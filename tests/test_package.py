@@ -1,6 +1,8 @@
 """The package surface: the public names and the names the benchmark wraps."""
 
 import ast
+import dataclasses
+import importlib
 import sys
 import types
 from pathlib import Path
@@ -65,3 +67,27 @@ def test_every_error_class_is_raised():
               if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
               and isinstance(node.exc.func, ast.Name)}
     assert sorted(defined - raised - {"NggError"}) == []
+
+
+# the parameter classes whose validate() reads their INTS and REALS
+_CHECKED = (engine.GameParams, netgen.NetworkSpec, harness.ExperimentConfig)
+
+
+@pytest.mark.parametrize("cls", _CHECKED, ids=lambda cls: cls.__name__)
+def test_ints_and_reals_name_own_fields(cls):
+    # netgen._check_types reads the named fields by getattr, so a typo there
+    # would surface only as an AttributeError inside validate()
+    own = {f.name for f in dataclasses.fields(cls)}
+    assert set(cls.INTS) | set(cls.REALS) <= own
+    assert not set(cls.INTS) & set(cls.REALS)
+    assert not {"INTS", "REALS"} & own
+
+
+def test_every_class_with_ints_defines_validate():
+    modules = [importlib.import_module(f"ngg.{path.stem}")
+               for path in SRC.glob("*.py") if path.stem != "__init__"]
+    with_ints = {obj for module in modules for obj in vars(module).values()
+                 if isinstance(obj, type) and obj.__module__ == module.__name__
+                 and "INTS" in vars(obj)}
+    assert with_ints == set(_CHECKED)
+    assert all(callable(vars(cls).get("validate")) for cls in with_ints)
