@@ -150,7 +150,9 @@ def _cmd_plot(args) -> int:
             raise InvalidParamError(f"--x values must be finite, got {args.x}")
         try:
             values = [_extract_metric(path, args.metric) for path in args.inputs]
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except InvalidParamError:
+            raise
+        except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, off schema
             raise InvalidParamError(f"unreadable report.json beside the inputs: {exc!r}")
         order = np.argsort(args.x, kind="stable")
         xs = [args.x[i] for i in order]

@@ -435,14 +435,20 @@ def test_plot_metric_vs_beta_rejects_foreign_report(tmp_path, capsys, traces):
     assert "report.json" in capsys.readouterr().err
 
 
-def test_plot_metric_vs_beta_non_utf8_report_exits_2(tmp_path, capsys, traces):
+@pytest.mark.parametrize("spoil", ["utf-16", "text-metric"])
+def test_plot_metric_vs_beta_unreadable_report_exits_2(tmp_path, capsys, traces,
+                                                       spoil):
     report = Path(traces[0]).parent / "report.json"
-    report.write_bytes(b"\xff\xfe" + report.read_text().encode("utf-16-le"))
+    if spoil == "utf-16":  # JSON files are UTF-8 (RFC 8259)
+        report.write_bytes(b"\xff\xfe" + report.read_text().encode("utf-16-le"))
+    else:  # a run's value that is no number
+        data = json.loads(report.read_text())
+        data["points"][0]["runs_detail"][0]["n_iter_cvg"] = "soon"
+        report.write_text(json.dumps(data))
     assert main(["plot", "--kind", "metric-vs-beta", "--metric", "n_iter_cvg",
                  "--inputs", traces[0], "--x", "0.5",
                  "--out", str(tmp_path / "m.svg")]) == 2
-    err = capsys.readouterr().err
-    assert "report.json" in err and "UnicodeDecodeError" in err
+    assert "report.json" in capsys.readouterr().err
     assert not (tmp_path / "m.svg").exists()
 
 
