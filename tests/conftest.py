@@ -8,6 +8,7 @@ tests compare the two implementations against each other.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from array import array
 from fractions import Fraction
@@ -341,6 +342,134 @@ def snapshot_run(net: Network, params, seed) -> list:
         outcome = _ROUNDS[params.mode](net, pop, params, rng)
         records.append(snapshot(pop, outcome, iteration))
         if pop.converged_word() is not None:
+            break
+    return records
+
+
+def _oracle_speak(memories, agent, params, rng, fresh) -> int:
+    """A scalar word pick from a non-empty memory, else an invention that
+    enters the memory (fresh is a one-item list: the next unused word id)."""
+    mem = memories[agent]
+    if mem:
+        return mem[int(rng.integers(len(mem)))]
+    if params.vocabulary is None:
+        word, fresh[0] = fresh[0], fresh[0] + 1
+    else:
+        word = int(rng.integers(params.vocabulary))
+    mem.append(word)
+    return word
+
+
+def _oracle_group(adj, n: int, rng) -> list:
+    """Seed integers(m), then choice(neigh, take, replace=False) of its
+    sorted neighbours when it has more than n-1, else all of them."""
+    seed = int(rng.integers(adj.shape[0]))
+    neigh = np.flatnonzero(adj[seed])
+    take = min(len(neigh), n - 1)
+    if take < len(neigh):
+        neigh = rng.choice(neigh, take, replace=False)
+    return [seed, *neigh.tolist()]
+
+
+def _oracle_ngg_round(adj, memories, params, rng, fresh) -> tuple:
+    members = _oracle_group(adj, params.n, rng)
+    size = len(members)
+    u = rng.random(size)
+    spoken = {}
+    for agent, ua in zip(members, u):
+        k = len(memories[agent])
+        if k:
+            spoken[agent] = memories[agent][min(math.floor(ua * k), k - 1)]
+    for agent in members:
+        if agent not in spoken:  # empty memories invent, in member order
+            spoken[agent] = _oracle_speak(memories, agent, params, rng, fresh)
+    node = [sum(oracle_pair_weight(a, b, adj) for b in members) for a in members]
+    words = list(dict.fromkeys(spoken[a] for a in members))
+    word_w = [sum(node[i] for i, a in enumerate(members) if spoken[a] == w)
+              for w in words]
+    probs = np.asarray(word_w) / sum(word_w)
+    basis = params.n if params.group_size_basis == "nominal" else size
+    count = max(1, math.floor(params.beta * basis + 0.5))
+    # a single spoken word is broadcast count times without a draw
+    picks = ([words[0]] * count if len(words) == 1
+             else [words[i] for i in rng.choice(len(words), count, p=probs)])
+    waiting = list(members)  # members that have not succeeded this round
+    heard = 0
+    for word in picks:
+        if not waiting:
+            break  # the rest of the picks reach nobody and draw nothing
+        sources = [a for a in members if spoken[a] == word]
+        n_succ = 0
+        for agent, ua in zip(list(waiting), rng.random(len(waiting))):
+            if ua < max(oracle_pair_weight(agent, s, adj) for s in sources):
+                if word in memories[agent]:
+                    memories[agent] = [word]
+                    waiting.remove(agent)
+                    n_succ += 1
+                else:
+                    memories[agent].append(word)
+        heard += n_succ
+        feedback = [s for s in sources if s in waiting]
+        if feedback:
+            for s, v in zip(feedback, rng.random(len(feedback))):
+                if v < n_succ / basis:
+                    memories[s] = [word]
+                    waiting.remove(s)
+    return (size - len(waiting)) / size, size, count
+
+
+def _oracle_ngmh_round(adj, memories, params, rng, fresh) -> tuple:
+    members = _oracle_group(adj, params.n, rng)
+    seed, size = members[0], len(members)
+    word = _oracle_speak(memories, seed, params, rng, fresh)
+    n_succ = 0
+    for agent in members[1:]:  # all adjacent to the seed: all of them hear
+        if word in memories[agent]:
+            memories[agent] = [word]
+            n_succ += 1
+        else:
+            memories[agent].append(word)
+    basis = params.n if params.group_size_basis == "nominal" else size
+    seed_ok = n_succ // basis >= 1
+    if seed_ok:
+        memories[seed] = [word]
+    return (n_succ + seed_ok) / size, size, 1
+
+
+def _oracle_minimal_round(adj, memories, params, rng, fresh) -> tuple:
+    edges = np.argwhere(np.triu(adj, 1))  # u < v, lexicographic
+    e = int(rng.integers(len(edges)))
+    s = 0 if rng.random() < 0.5 else 1
+    speaker, hearer = int(edges[e, s]), int(edges[e, 1 - s])
+    word = _oracle_speak(memories, speaker, params, rng, fresh)
+    if word in memories[hearer]:
+        memories[hearer] = [word]
+        memories[speaker] = [word]
+        return 1.0, 2, 1
+    memories[hearer].append(word)
+    return 0.0, 2, 1
+
+
+_ORACLE_ROUNDS = {"ngg": _oracle_ngg_round, "ngmh": _oracle_ngmh_round,
+                  "minimal": _oracle_minimal_round}
+
+
+def oracle_run(net: Network, params, rng) -> list:
+    """A whole run's records from the documented rules, stated with numpy's
+    own calls on the Generator rng and no engine code. n_total and n_diff
+    are recounted from the memories every round; the run stops at the first
+    round after which every memory is the same single word, or at the cap."""
+    adj = net.adj
+    memories = [[] for _ in range(net.m)]
+    fresh = [0]
+    records = []
+    for iteration in range(1, params.max_iterations + 1):
+        sr, size, sent = _ORACLE_ROUNDS[params.mode](adj, memories, params,
+                                                     rng, fresh)
+        words = [w for mem in memories for w in mem]
+        records.append(TraceRecord(iteration, len(words), len(set(words)), sr,
+                                   size, sent))
+        if all(mem == memories[0] for mem in memories) and len(memories[0]) == 1:
             break
     return records
 
