@@ -56,6 +56,10 @@ GOLDEN = {
     # above 2**32 inventions take numpy's integers(), not the scalar draw
     ("rg", "ngg", (("vocabulary", 2**40),)): (
         248, "b95e8c31c6510de7ca8538a83288bbca954378e2e9c6f0c25b150d6cf6f0292a"),
+    ("ba", "minimal", (("vocabulary", 2**40),)): (
+        8373, "ef52868550049fb301825cdfd51cfc6f4b95608162edffbb56f9b38253b3d4db"),
+    ("rg", "ngmh", (("vocabulary", 2**40),)): (
+        721, "53adb6452419b2674e6ff390e55233ef4145bc8d571e70a981690d3f3bee75a3"),
     # ba groups vary in size, so the realised size changes count and feedback
     ("ba", "ngg", (("group_size_basis", "actual"),)): (
         537, "c972c7f6411245ff0b202ac9571e24eee3d68a5f0994b3178d507e2693630f67"),
