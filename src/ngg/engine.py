@@ -38,7 +38,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -435,20 +435,33 @@ def ngmh_round(net: Network, pop: PopulationState, params: GameParams,
     return _ngmh_apply(group, word, pop, params.basis(len(group.members)))
 
 
+def _minimal_steps(net: Network, pop: PopulationState, params: GameParams,
+                   draws: "_Draws"):
+    """Rounds of the classic pairwise game on a uniform edge with a uniform
+    orientation, without end, yielding each round's (sr, group_size,
+    transmitted): the run loop iterates it, minimal_ng_round takes one step."""
+    edges = net.edges().data  # a 2-D memoryview: items come back as ints
+    n_edges, integers, coin = len(edges), draws.integers, draws._next_double
+    memories, adopt, learn = pop.memories, pop.adopt, pop.learn
+    while True:
+        e = integers(n_edges)
+        s = 0 if coin() < 0.5 else 1
+        speaker, hearer = edges[e, s], edges[e, 1 - s]
+        word = speak(pop, speaker, params, draws)
+        if word in memories[hearer]:
+            adopt(hearer, word)
+            adopt(speaker, word)
+            yield 1.0, 2, [word]
+        else:
+            learn(hearer, word)
+            yield 0.0, 2, [word]
+
+
 def minimal_ng_round(net: Network, pop: PopulationState, params: GameParams,
                      rng: np.random.Generator) -> RoundOutcome:
-    """Classic pairwise game on a uniform edge with a uniform orientation."""
-    edges = net.edges().data  # a 2-D memoryview: items come back as ints
-    e = rng.integers(len(edges))
-    s = 0 if rng.random() < 0.5 else 1
-    speaker, hearer = edges[e, s], edges[e, 1 - s]
-    word = speak(pop, speaker, params, rng)
-    if word in pop.memories[hearer]:
-        pop.adopt(hearer, word)
-        pop.adopt(speaker, word)
-        return RoundOutcome(2, [word], 1, 2, 1.0)
-    pop.learn(hearer, word)
-    return RoundOutcome(2, [word], 0, 0, 0.0)
+    """One round of the pairwise game: a success is both agents'."""
+    sr, size, transmitted = next(_minimal_steps(net, pop, params, _Draws(rng)))
+    return RoundOutcome(size, transmitted, int(sr), 2 * int(sr), sr)
 
 
 _ROUNDS = {"ngg": run_group_round, "ngmh": ngmh_round, "minimal": minimal_ng_round}
@@ -456,19 +469,21 @@ MODES = tuple(_ROUNDS)
 
 
 class _Draws:
-    """One run's random stream: a Generator with a fast scalar integers().
+    """One run's random stream: a Generator with fast scalar draws.
 
     integers(n), for a plain int 0 < n <= 2**32, is netgen._bounded on ctypes
-    next_uint32, which shares the Generator's half-word buffer, so values and
-    state match; other n, random() and choice() are the Generator's (the
-    engine draws no sized integers). Skipping its lock is safe in a one-run
-    stream; default_rng(g) is g, so a passed g advances as before.
+    next_uint32, which shares the Generator's half-word buffer; _next_double()
+    is ctypes next_double, the scalar random(). Values and state match the
+    Generator's; other n, sized random() and choice() are the Generator's
+    (the engine draws no sized integers). Skipping its lock is safe in a
+    one-run stream; default_rng(g) is g, so a passed g advances as before.
     """
 
     def __init__(self, seed):
         self._gen = gen = np.random.default_rng(seed)  # owns the ctypes state
         ctypes = gen.bit_generator.ctypes
         self._next32 = partial(ctypes.next_uint32, ctypes.state)
+        self._next_double = partial(ctypes.next_double, ctypes.state)
         self.random, self.choice = gen.random, gen.choice
 
     def integers(self, n):
@@ -492,17 +507,20 @@ def run_to_convergence(net: Network, params: GameParams, seed):
     rng = _Draws(seed)
     pop = PopulationState(net.m)
     m, counts = net.m, pop._counts
-    round_fn = _ROUNDS[params.mode]
+    if params.mode == "minimal":  # the fused loop: no round call, no outcome
+        steps = _minimal_steps(net, pop, params, rng)
+    else:  # one round call after another, read as _minimal_steps yields them
+        steps = ((o.sr, o.group_size, o.transmitted) for o in iter(
+            partial(_ROUNDS[params.mode], net, pop, params, rng), None))
     trace = Trace()
     n_total, n_diff, sr, group_size, n_transmitted = (
         c.append for c in trace.columns)
-    for _ in range(params.max_iterations):
-        outcome = round_fn(net, pop, params, rng)
+    for success, size, transmitted in islice(steps, params.max_iterations):
         n_total(total := pop.total_words)
         n_diff(distinct := len(counts))
-        sr(outcome.sr)
-        group_size(outcome.group_size)
-        n_transmitted(len(outcome.transmitted))
+        sr(success)
+        group_size(size)
+        n_transmitted(len(transmitted))
         if total == m and distinct == 1:
             break
     return trace, summarize(trace, pop.converged_word())

@@ -914,12 +914,16 @@ def test_run_matches_whole_run_oracle(game, bitgen, seed, buffered):
     assert plain(new.bit_generator.state) == plain(old.bit_generator.state)
 
 
+@pytest.mark.parametrize("vocabulary", [None, 3, 2**40])
 @pytest.mark.parametrize("mode", ["ngg", "ngmh", "minimal"])
-def test_trace_matches_snapshot_loop(mode):
+def test_trace_matches_snapshot_loop(mode, vocabulary):
+    # the snapshot loop calls the round functions, minimal_ng_round among
+    # them, where run_to_convergence runs the fused minimal loop
     net = generate(NetworkSpec("ws", 30, k=2, rp=0.2), rng(5))
     # 5 rounds reach at most 25 of the 30 agents: that run is capped
     for cap, seed in ((1_000_000, 0), (1_000_000, 1), (1_000_000, 2), (5, 0)):
-        params = GameParams(n=5, beta=0.5, mode=mode, max_iterations=cap)
+        params = GameParams(n=5, beta=0.5, mode=mode, max_iterations=cap,
+                            vocabulary=vocabulary)
         trace, summary = run_to_convergence(net, params, seed)
         records = snapshot_run(net, params, seed)
         assert len(trace) == len(records) == summary.iterations
@@ -944,6 +948,7 @@ _WEIGHTS = st.lists(st.integers(1, 9), min_size=1, max_size=8)
 _DRAWS = st.one_of(
     st.tuples(st.just("integers"), _BOUNDS),
     st.tuples(st.just("random")),
+    st.tuples(st.just("next_double")),
     st.tuples(st.just("random_k"), st.integers(0, 6)),
     st.integers(1, 40).flatmap(lambda n: st.tuples(
         st.just("choice"), st.just(n), st.integers(0, n))),
@@ -957,6 +962,8 @@ def _draw(stream, call):
         return int(stream.integers(args[0]))
     if kind == "random":
         return stream.random()
+    if kind == "next_double":  # _Draws' scalar random() on ctypes
+        return stream._next_double() if isinstance(stream, _Draws) else stream.random()
     if kind == "random_k":
         return stream.random(args[0]).tolist()
     if kind == "choice":
@@ -968,12 +975,14 @@ def _draw(stream, call):
 
 
 @settings(deadline=None)
-@given(st.integers(0, 2**64 - 1), st.lists(_DRAWS, max_size=40))
-def test_draws_match_generator(seed, calls):
-    draws, gen = _Draws(seed), np.random.default_rng(seed)
+@given(st.sampled_from(_DRAW_GENERATORS), st.integers(0, 2**64 - 1),
+       st.booleans(), st.lists(_DRAWS, max_size=40))
+def test_draws_match_generator(bitgen, seed, buffered, calls):
+    new, gen = twin_generators(bitgen, seed, buffered)
+    draws = _Draws(new)
     for call in calls:
         assert _draw(draws, call) == _draw(gen, call), call
-    assert draws._gen.bit_generator.state == gen.bit_generator.state
+    assert plain(new.bit_generator.state) == plain(gen.bit_generator.state)
 
 
 def test_draws_advance_a_passed_generator():
