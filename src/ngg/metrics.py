@@ -204,8 +204,9 @@ def make_out_dir(path) -> Path:
     return Path(path)
 
 
-def write_atomic(path, text: str) -> None:
-    """Write text to path through a temporary sibling and os.replace.
+def write_atomic(path, chunks) -> None:
+    """Write chunks (a str, or an iterable of str written in order) to path
+    through one temporary sibling and os.replace.
 
     The path holds its old content or all of the new, never a part. A path
     that is a directory is an InvalidParamError, before any temporary file;
@@ -218,22 +219,38 @@ def write_atomic(path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(text)
+            for chunk in [chunks] if isinstance(chunks, str) else chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+_CSV_BLOCK = 4096  # trace rows formatted and written at a time
+
+
 def write_trace_csv(trace: Trace, path) -> None:
-    """Persist a trace (a run's or an averaged one), atomically.
+    """Persist a trace (a run's or an averaged one), atomically, in blocks of
+    _CSV_BLOCK rows, so the write's peak does not grow with the trace.
 
     The format is that of the csv module's default dialect: CRLF line
     ends, ints written with str, floats with their shortest round-trip repr.
     """
-    rows = zip(range(1, len(trace) + 1), *(a.tolist() for a in trace.arrays()))
-    write_atomic(path, ",".join(TRACE_FIELDS) + "\r\n" + "".join(
-        [f"{i},{a},{b},{c},{d},{e}\r\n" for i, a, b, c, d, e in rows]))
+    cols, width = trace.arrays(), len(TRACE_FIELDS)
+    row = ",".join(["%d", *("%r" if c.dtype.kind == "f" else "%d" for c in cols)])
+
+    def blocks():
+        yield ",".join(TRACE_FIELDS) + "\r\n"
+        for lo in range(0, len(trace), _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, len(trace))
+            cells = [None] * (width * (hi - lo))  # row-major: one % for the block
+            cells[::width] = range(lo + 1, hi + 1)
+            for j, c in enumerate(cols, 1):
+                cells[j::width] = c[lo:hi].tolist()
+            yield (row + "\r\n") * (hi - lo) % tuple(cells)
+
+    write_atomic(path, blocks())
 
 
 def read_trace_columns(path) -> dict:

@@ -543,11 +543,11 @@ def oracle_write_trace_csv(records, path) -> None:
 
 
 class HalfFile:
-    """An open file whose first write keeps `keep` characters, then raises
-    the error of a full disk."""
+    """An open file whose writes go through whole `after` times; the next
+    keeps `keep` characters, then raises the error of a full disk."""
 
-    def __init__(self, fh, keep: int):
-        self.fh, self.keep = fh, keep
+    def __init__(self, fh, keep: int, after: int = 0):
+        self.fh, self.keep, self.after = fh, keep, after
 
     def __enter__(self):
         return self
@@ -556,6 +556,9 @@ class HalfFile:
         self.fh.close()
 
     def write(self, text):
+        if self.after:
+            self.after -= 1
+            return self.fh.write(text)
         self.fh.write(text[:self.keep])
         raise OSError(28, "No space left on device")
 

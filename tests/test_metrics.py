@@ -301,6 +301,12 @@ def test_trace_csv_bytes_match_csv_writer(tmp_path):
             for _ in range(5)]
     traces = [*runs, small_run()[0], small_run("minimal")[0]]
     traces.append(average_runs(runs, m=50))
+    # the block edges: 1 row, exactly one block and one block + 1, for run
+    # and averaged traces alike
+    block = metrics._CSV_BLOCK
+    for n in (1, block, block + 1):
+        run = make_trace(random_records(r, n))
+        traces += [run, average_runs([run, make_trace(random_records(r, 1))], m=50)]
     for i, t in enumerate(traces):
         want = tmp_path / f"want{i}.csv"
         got = tmp_path / f"got{i}.csv"
@@ -337,6 +343,23 @@ def test_failed_trace_write_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         write_trace_csv(trace, tmp_path / "trace.csv")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_write_failing_after_the_first_block_keeps_the_old_file(
+        tmp_path, monkeypatch):
+    # the header and the first block go through, then the disk fills up
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"old")
+    trace = make_trace(random_records(np.random.default_rng(5),
+                                      2 * metrics._CSV_BLOCK))
+    real_open = builtins.open
+    monkeypatch.setattr(metrics, "open",
+                        lambda *a, **k: HalfFile(real_open(*a, **k), 100, after=2),
+                        raising=False)
+    with pytest.raises(OSError):
+        write_trace_csv(trace, path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"old"
 
 
 def test_read_trace_columns_rejects_foreign_header(tmp_path):
