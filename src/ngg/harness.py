@@ -262,7 +262,8 @@ def _job(args):
     trace, summary = run_to_convergence(net, params, _run_streams(seed)[1])
     end = time.perf_counter()
     return trace, summary, seed, {"wall_s": end - start, "net_s": built - start,
-                                  "game_s": end - built}
+                                  "game_s": end - built,
+                                  "iters_per_s": summary.iterations / (end - built)}
 
 
 def _worker_count(cfg: ExperimentConfig) -> int:

@@ -412,6 +412,7 @@ def test_report_metadata_lists_every_run(tmp_path):
         assert r["iterations"] == len(trace["iteration"])
         assert isinstance(r["wall_s"], float) and r["wall_s"] > 0.0
         assert r["net_s"] > 0.0 and r["game_s"] > 0.0
+        assert r["iters_per_s"] == r["iterations"] / r["game_s"]
     on_disk = json.loads((tmp_path / "report.json").read_text())
     assert on_disk["metadata"]["runs"] == runs
 
