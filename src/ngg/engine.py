@@ -436,7 +436,7 @@ def ngmh_round(net: Network, pop: PopulationState, params: GameParams,
 
 
 def _minimal_steps(net: Network, pop: PopulationState, params: GameParams,
-                   draws: "_Draws"):
+                   draws: _Draws):
     """Rounds of the classic pairwise game on a uniform edge with a uniform
     orientation, without end, yielding each round's (sr, group_size,
     transmitted): the run loop iterates it, minimal_ng_round takes one step."""
