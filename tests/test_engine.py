@@ -1,6 +1,7 @@
 """Game engine: weights, transmission, rounds, convergence."""
 
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -914,14 +915,15 @@ def test_run_matches_whole_run_oracle(game, bitgen, seed, buffered):
     assert plain(new.bit_generator.state) == plain(old.bit_generator.state)
 
 
-@pytest.mark.parametrize("vocabulary", [None, 3, 2**40])
 @pytest.mark.parametrize("mode", ["ngg", "ngmh", "minimal"])
-def test_trace_matches_snapshot_loop(mode, vocabulary):
+def test_trace_matches_snapshot_loop(mode):
     # the snapshot loop calls the round functions, minimal_ng_round among
     # them, where run_to_convergence runs the fused minimal loop
     net = generate(NetworkSpec("ws", 30, k=2, rp=0.2), rng(5))
     # 5 rounds reach at most 25 of the 30 agents: that run is capped
-    for cap, seed in ((1_000_000, 0), (1_000_000, 1), (1_000_000, 2), (5, 0)):
+    for vocabulary, (cap, seed) in product(
+            (None, 3, 2**40),
+            ((1_000_000, 0), (1_000_000, 1), (1_000_000, 2), (5, 0))):
         params = GameParams(n=5, beta=0.5, mode=mode, max_iterations=cap,
                             vocabulary=vocabulary)
         trace, summary = run_to_convergence(net, params, seed)
