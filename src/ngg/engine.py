@@ -38,7 +38,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -510,15 +511,15 @@ def run_to_convergence(net: Network, params: GameParams, seed):
     if params.mode == "minimal":  # the fused loop: no round call, no outcome
         steps = _minimal_steps(net, pop, params, rng)
     else:  # one round call after another, read as _minimal_steps yields them
-        steps = ((o.sr, o.group_size, o.transmitted) for o in iter(
-            partial(_ROUNDS[params.mode], net, pop, params, rng), None))
+        steps = map(attrgetter("sr", "group_size", "transmitted"), map(
+            partial(_ROUNDS[params.mode], net, pop, params), repeat(rng)))
     trace = Trace()
     n_total, n_diff, sr, group_size, n_transmitted = (
         c.append for c in trace.columns)
-    for success, size, transmitted in islice(steps, params.max_iterations):
+    for rate, size, transmitted in islice(steps, params.max_iterations):
         n_total(total := pop.total_words)
         n_diff(distinct := len(counts))
-        sr(success)
+        sr(rate)
         group_size(size)
         n_transmitted(len(transmitted))
         if total == m and distinct == 1:
