@@ -110,6 +110,14 @@ def test_numpy_scalar_params_accepted():
                vocabulary=np.uint8(3)).validate()
 
 
+def test_group_size_checked_against_network_size():
+    # n <= m is one GameParams rule: the harness and run_to_convergence pass m
+    with pytest.raises(InvalidParamError) as exc:
+        GameParams(n=5, beta=0.5).validate(4)
+    assert exc.value.field == "n"
+    GameParams(n=5, beta=0.5).validate(5)
+
+
 def test_population_counters_track_mutations():
     pop = PopulationState(3)
     assert (pop.total_words, pop.distinct_words) == (0, 0)
