@@ -72,13 +72,11 @@ class GameParams:
     max_iterations: int = 1_000_000
     vocabulary: Optional[int] = None
     group_size_basis: str = "nominal"
-    # the integer and the real fields, as validate() and a JSON echo read them
-    INTS = ("n", "max_iterations", "vocabulary")
-    REALS = ("beta",)
 
-    def validate(self) -> None:
-        """InvalidParamError naming in .field the first field out of type or range."""
-        _check_types(self, optional=("vocabulary",))
+    def validate(self, m: Optional[int] = None) -> None:
+        """InvalidParamError naming in .field the first field out of type or
+        range; given a network size m, n may not exceed it."""
+        _check_types(self)
         if self.n < 2:
             raise InvalidParamError(f"n must be >= 2, got {self.n}", "n")
         if not (0.0 < self.beta <= 1.0):
@@ -96,6 +94,8 @@ class GameParams:
         if self.group_size_basis not in GROUP_SIZE_BASES:
             raise InvalidParamError(
                 f"group_size_basis must be one of {GROUP_SIZE_BASES}", "group_size_basis")
+        if m is not None and self.n > m:
+            raise InvalidParamError(f"n={self.n} exceeds network size m={m}", "n")
 
     def basis(self, group_size: int) -> int:
         """The group size that beta*N and the feedback n_succ/N divide by."""
@@ -502,9 +502,7 @@ def run_to_convergence(net: Network, params: GameParams, seed):
     """
     from .metrics import Trace, summarize
 
-    params.validate()
-    if params.n > net.m:
-        raise InvalidParamError(f"n={params.n} exceeds network size {net.m}", "n")
+    params.validate(net.m)
     rng = _Draws(seed)
     pop = PopulationState(net.m)
     m, counts = net.m, pop._counts

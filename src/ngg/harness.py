@@ -37,7 +37,7 @@ from .engine import GameParams, run_to_convergence
 from .errors import InvalidParamError
 from .metrics import (aggregate_summaries, average_runs, make_out_dir,
                       write_atomic, write_trace_csv)
-from .netgen import NetworkSpec, _check_types, generate
+from .netgen import NetworkSpec, _check_types, _field_types, generate
 
 # ----------------------------------------------------------------------
 # Seed derivation
@@ -81,8 +81,8 @@ def _run_streams(run_seed: int) -> tuple:
 # ----------------------------------------------------------------------
 
 
-# sweep key -> the GameParams field whose values it lists
-_SWEPT = {"betas": "beta", "group_sizes": "n", "modes": "mode"}
+# sweep key -> the GameParams field whose values it lists, in point order
+_SWEPT = {"modes": "mode", "group_sizes": "n", "betas": "beta"}
 
 
 def _bad(field: str, reason: str) -> InvalidParamError:
@@ -116,38 +116,23 @@ class ExperimentConfig:
     sweep: Optional[SweepSpec] = None
     fixed_network: bool = False
     parallelism: int = 1
-    # the integer and the real fields, as validate() and a JSON echo read them
-    INTS = ("repetitions", "master_seed", "parallelism")
-    REALS = ()
 
     def validate(self) -> None:
         """InvalidParamError naming in .field the config path of the first
         field out of type or range (`repetitions`, `network.p`, `game.beta`,
         and for a swept value its list, `sweep.betas`). Each swept value is
-        checked in the base game's place, and no group size may exceed m."""
+        checked in the base game's place, against the network's size."""
         with _named(""):
-            _check_types(self, optional=())
+            _check_types(self)
             for name, minimum in (("repetitions", 1), ("master_seed", 0),
                                   ("parallelism", 1)):
                 if getattr(self, name) < minimum:
                     raise InvalidParamError(
                         f"must be >= {minimum}, got {getattr(self, name)}", name)
-            for name, kind, what in (
-                    ("output_dir", str, "a string"),
-                    ("fixed_network", bool, "true or false"),
-                    ("network", NetworkSpec, "a NetworkSpec"),
-                    ("game", GameParams, "a GameParams"),
-                    ("sweep", (SweepSpec, type(None)), "a SweepSpec or None")):
-                if not isinstance(getattr(self, name), kind):
-                    raise InvalidParamError(
-                        f"expected {what}, got {getattr(self, name)!r}", name)
         with _named("network."):
             self.network.validate()
-        m = self.network.m
         with _named("game."):
-            self.game.validate()
-            if self.game.n > m:
-                raise InvalidParamError(f"exceeds network size m={m}", "n")
+            self.game.validate(self.network.m)
         if self.sweep is None:
             return
         if self.sweep == SweepSpec():
@@ -159,20 +144,17 @@ class ExperimentConfig:
                 raise _bad(f"sweep.{key}", "must be a non-empty list")
             with _named("sweep.", key):
                 for value in values or ():
-                    replace(self.game, **{name: value}).validate()
-                    if name == "n" and value > m:
-                        raise InvalidParamError(
-                            f"{value} exceeds network size m={m}", name)
+                    replace(self.game, **{name: value}).validate(self.network.m)
 
     def sweep_points(self) -> list:
-        """GameParams per point: modes x group_sizes x betas, config order."""
+        """GameParams per point: the product of the swept lists in _SWEPT's
+        order (modes x group_sizes x betas), each unswept field the base's."""
         if self.sweep is None:
             return [self.game]
-        modes = self.sweep.modes or (self.game.mode,)
-        sizes = self.sweep.group_sizes or (self.game.n,)
-        betas = self.sweep.betas or (self.game.beta,)
-        return [replace(self.game, mode=mode, n=n, beta=b)
-                for mode, n, b in product(modes, sizes, betas)]
+        axes = [getattr(self.sweep, key) or (getattr(self.game, name),)
+                for key, name in _SWEPT.items()]
+        return [replace(self.game, **dict(zip(_SWEPT.values(), point)))
+                for point in product(*axes)]
 
     def to_dict(self) -> dict:
         """Canonical echo with all defaults materialised (for the report)."""
@@ -201,9 +183,10 @@ def _fields_of(cls, obj, where: str) -> dict:
 
 
 def _floats(obj):
-    """obj with each of its REALS a float, as a JSON echo writes a real."""
-    return replace(obj, **{name: float(getattr(obj, name)) for name in obj.REALS
-                           if getattr(obj, name) is not None})
+    """obj with each float field set a float, as a JSON echo writes a real."""
+    return replace(obj, **{name: float(getattr(obj, name))
+                           for name, (kind, _) in _field_types(type(obj)).items()
+                           if kind is float and getattr(obj, name) is not None})
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

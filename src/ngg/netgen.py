@@ -20,9 +20,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from numbers import Integral, Real
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -34,16 +34,30 @@ MAX_ATTEMPTS = 100
 KNOBS = {"rg": ("p",), "ws": ("k", "rp"), "ba": ("n0", "e")}
 
 
-def _check_types(obj, optional) -> None:
-    """InvalidParamError naming the first of obj's INTS set to a non-integer
-    (numpy's integers pass) or of its REALS set to a non-number; a bool is
-    neither, and None passes only in a field named in optional."""
-    for name in obj.INTS + obj.REALS:
-        value, kind = getattr(obj, name), Integral if name in obj.INTS else Real
-        if value is None and name in optional:
+# the test and the wording of a number field's type; any other is its class
+_NUMBERS = {int: (Integral, "an integer"), float: (Real, "a number")}
+
+
+@cache
+def _field_types(cls) -> dict:
+    """Each field of dataclass cls -> (its class: the annotation, or Optional's
+    one class; whether it is Optional), read once per class."""
+    return {name: (next((a for a in get_args(hint) if a is not type(None)), hint),
+                   type(None) in get_args(hint))
+            for name, hint in get_type_hints(cls).items()}
+
+
+def _check_types(obj, optional=None) -> None:
+    """InvalidParamError naming the first field of obj whose value is not of
+    its annotated type: an int field takes any Integral (numpy's too), a float
+    field any Real, and a bool passes only a bool field. None passes an
+    Optional field, or, given optional, only the fields it names."""
+    for name, (kind, none) in _field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if value is None and (none if optional is None else name in optional):
             continue
-        if isinstance(value, bool) or not isinstance(value, kind):
-            what = "an integer" if kind is Integral else "a number"
+        test, what = _NUMBERS.get(kind, (kind, f"a {kind.__name__}"))
+        if not isinstance(value, test) or isinstance(value, bool) and kind is not bool:
             raise InvalidParamError(f"{name} must be {what}, got {value!r}", name)
 
 # ----------------------------------------------------------------------
@@ -68,9 +82,6 @@ class NetworkSpec:
     rp: Optional[float] = None
     n0: Optional[int] = None
     e: Optional[int] = None
-    # the integer and the real fields, as validate() and a JSON echo read them
-    INTS = ("m", "k", "n0", "e")
-    REALS = ("p", "rp")
 
     def validate(self) -> None:
         """InvalidParamError naming in .field the first field out of type or

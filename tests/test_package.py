@@ -2,9 +2,9 @@
 
 import ast
 import dataclasses
-import importlib
 import sys
 import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -69,25 +69,20 @@ def test_every_error_class_is_raised():
     assert sorted(defined - raised - {"NggError"}) == []
 
 
-# the parameter classes whose validate() reads their INTS and REALS
+# the parameter classes whose validate() type-checks every field
 _CHECKED = (engine.GameParams, netgen.NetworkSpec, harness.ExperimentConfig)
 
 
 @pytest.mark.parametrize("cls", _CHECKED, ids=lambda cls: cls.__name__)
-def test_ints_and_reals_name_own_fields(cls):
-    # netgen._check_types reads the named fields by getattr, so a typo there
-    # would surface only as an AttributeError inside validate()
-    own = {f.name for f in dataclasses.fields(cls)}
-    assert set(cls.INTS) | set(cls.REALS) <= own
-    assert not set(cls.INTS) & set(cls.REALS)
-    assert not {"INTS", "REALS"} & own
-
-
-def test_every_class_with_ints_defines_validate():
-    modules = [importlib.import_module(f"ngg.{path.stem}")
-               for path in SRC.glob("*.py") if path.stem != "__init__"]
-    with_ints = {obj for module in modules for obj in vars(module).values()
-                 if isinstance(obj, type) and obj.__module__ == module.__name__
-                 and "INTS" in vars(obj)}
-    assert with_ints == set(_CHECKED)
-    assert all(callable(vars(cls).get("validate")) for cls in with_ints)
+def test_every_field_is_annotated_with_a_class(cls):
+    # netgen._check_types tests each field with isinstance against its
+    # annotation, or against Optional's one class: an annotation such as
+    # tuple[int, ...] must fail here, not as a TypeError inside validate()
+    hints = typing.get_type_hints(cls)
+    assert sorted(hints) == sorted(f.name for f in dataclasses.fields(cls))
+    for name, hint in hints.items():
+        kinds = [a for a in typing.get_args(hint) if a is not type(None)]
+        if typing.get_origin(hint) is typing.Union and len(kinds) == 1:
+            hint = kinds[0]  # Optional[X]
+        assert isinstance(hint, type) and not typing.get_args(hint), (name, hint)
+    assert callable(vars(cls).get("validate"))
