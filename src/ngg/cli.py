@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -135,7 +136,7 @@ def _cmd_experiment(args, expect_sweep: bool) -> int:
 
 
 def _cmd_plot(args) -> int:
-    if not Path(args.out).parent.is_dir():
+    if not os.path.isdir(Path(args.out).parent):  # False for a name too long
         raise InvalidParamError(f"cannot write {args.out}: no such directory")
     if args.kind == "metric-vs-beta":
         if args.metric is None or args.x is None:

@@ -195,10 +195,10 @@ def aggregate_summaries(summaries) -> dict:
 
 
 def make_out_dir(path) -> Path:
-    """path as a directory, made if missing; a file in the way is an error."""
+    """path as a directory, made if missing; one it cannot make is an error."""
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
+    except OSError as exc:  # a file in the way, a name too long, no permission
         raise InvalidParamError(
             f"cannot make directory {path}: {exc.strerror}") from exc
     return Path(path)
@@ -209,16 +209,20 @@ def write_atomic(path, chunks) -> None:
     through one temporary sibling and os.replace.
 
     The path holds its old content or all of the new, never a part. A path
-    that is a directory is an InvalidParamError, before any temporary file;
-    on any other failure the temporary file is removed and the error
-    propagates.
+    that is a directory, or whose temporary file cannot be opened (a name too
+    long, no such directory), is an InvalidParamError that leaves no file; on
+    any later failure the temporary file is removed and the error propagates.
     """
     path = Path(path)
-    if path.is_dir():
+    if os.path.isdir(path):  # False, not an OSError, for a path it cannot stat
         raise InvalidParamError(f"cannot write {path}: is a directory")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        fh = open(tmp, "w", newline="")
+    except OSError as exc:
+        raise InvalidParamError(f"cannot write {path}: {exc.strerror}") from exc
+    try:
+        with fh:
             for chunk in [chunks] if isinstance(chunks, str) else chunks:
                 fh.write(chunk)
         os.replace(tmp, path)

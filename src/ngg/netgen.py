@@ -228,9 +228,10 @@ def _retry_connected(spec, rng, build) -> Network:
 
 
 def _random_graph(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    # a boolean mask assigns in row-major order: the coins of np.triu_indices
+    # row by row above the diagonal: the coins of np.triu_indices, in order
     adj = np.zeros((m, m), dtype=bool)
-    adj[np.triu(np.ones((m, m), dtype=bool), 1)] = rng.random(m * (m - 1) // 2) < p
+    for i in range(m - 1):
+        adj[i, i + 1:] = rng.random(m - 1 - i) < p
     return adj | adj.T
 
 

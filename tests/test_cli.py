@@ -16,6 +16,8 @@ from ngg.cli import main
 from ngg.harness import parse_config
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# one path component longer than a file system's 255-byte name limit
+LONG = "x" * 300
 
 
 def write_config(tmp_path, **over):
@@ -127,6 +129,15 @@ def test_net_out_file_that_is_a_directory_exits_2(tmp_path, capsys):
     assert list((tmp_path / "edges.txt").iterdir()) == []
 
 
+def test_net_out_with_an_overlong_name_exits_2(tmp_path, capsys):
+    out = tmp_path / LONG
+    assert main(["net", "--model", "rg", "--m", "5", "--p", "1.0",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot make directory {out}: File name too long\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["net", "--m", "10"])  # --model missing
@@ -235,6 +246,15 @@ def test_run_out_naming_a_file_exits_2(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--out", str(taken)]) == 2
     assert capsys.readouterr().err == (
         f"error: cannot make directory {taken}: File exists\n")
+
+
+def test_run_out_with_an_overlong_name_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / LONG
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot make directory {out}: File name too long\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_run_missing_config_file_exits_2(tmp_path, capsys):
@@ -490,6 +510,21 @@ def test_plot_out_naming_a_directory_exits_2(tmp_path, capsys, traces):
         f"error: cannot write {adir}: is a directory\n")
     assert list(adir.iterdir()) == []
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("name, reason", [
+    (LONG + ".svg", "File name too long"),
+    (LONG + "/x.svg", "no such directory"),
+], ids=["file", "directory"])
+def test_plot_out_with_an_overlong_name_exits_2(tmp_path, capsys, traces, name,
+                                                reason):
+    svg = tmp_path / name
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(["plot", "--kind", "sr", "--inputs", *traces,
+                 "--out", str(svg)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {svg}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
