@@ -228,10 +228,11 @@ def _retry_connected(spec, rng, build) -> Network:
 
 
 def _random_graph(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    # row by row above the diagonal: the coins of np.triu_indices, in order
-    adj = np.zeros((m, m), dtype=bool)
+    # row by row above the diagonal: the coins of np.triu_indices, in order,
+    # through one reused buffer, so a build allocates nothing per row
+    adj, coins = np.zeros((m, m), dtype=bool), np.empty(m)
     for i in range(m - 1):
-        adj[i, i + 1:] = rng.random(m - 1 - i) < p
+        np.less(rng.random(out=coins[i + 1:]), p, out=adj[i, i + 1:])
     return adj | adj.T
 
 
