@@ -19,6 +19,7 @@ n_diff=1, sr=1) so late-iteration means are not biased toward the slow runs.
 
 from __future__ import annotations
 
+import errno
 import io
 import os
 from array import array
@@ -204,14 +205,18 @@ def make_out_dir(path) -> Path:
     return Path(path)
 
 
+# what open() says of a path that names no place for a file
+_NO_PLACE = (errno.ENAMETOOLONG, errno.ENOENT, errno.ENOTDIR)
+
+
 def write_atomic(path, chunks) -> None:
     """Write chunks (a str, or an iterable of str written in order) to path
     through one temporary sibling and os.replace.
 
     The path holds its old content or all of the new, never a part. A path
-    that is a directory, or whose temporary file cannot be opened (a name too
-    long, no such directory), is an InvalidParamError that leaves no file; on
-    any later failure the temporary file is removed and the error propagates.
+    that is a directory or names no place for a file (a name too long, no
+    such directory) is an InvalidParamError that leaves no file; on any other
+    failure the temporary file is removed and the error propagates.
     """
     path = Path(path)
     if os.path.isdir(path):  # False, not an OSError, for a path it cannot stat
@@ -220,7 +225,10 @@ def write_atomic(path, chunks) -> None:
     try:
         fh = open(tmp, "w", newline="")
     except OSError as exc:
-        raise InvalidParamError(f"cannot write {path}: {exc.strerror}") from exc
+        if exc.errno in _NO_PLACE:  # the path is at fault, and nothing was made
+            raise InvalidParamError(f"cannot write {path}: {exc.strerror}") from exc
+        tmp.unlink(missing_ok=True)  # a full disk, say: the error propagates
+        raise
     try:
         with fh:
             for chunk in [chunks] if isinstance(chunks, str) else chunks:

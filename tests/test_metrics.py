@@ -392,3 +392,18 @@ def test_write_atomic_to_a_directory_raises_before_any_temp_file(tmp_path):
         metrics.write_atomic(target, "text")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
     assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("x" * 300, "File name too long"),
+    ("missing/x.csv", "No such file or directory"),
+    ("afile/x.csv", "Not a directory"),
+], ids=["too-long", "no-directory", "file-as-directory"])
+def test_write_atomic_to_no_place_for_a_file_raises_naming_it(tmp_path, name,
+                                                              reason):
+    (tmp_path / "afile").write_text("")
+    target = tmp_path / name
+    with pytest.raises(InvalidParamError) as exc:
+        metrics.write_atomic(target, "text")
+    assert str(exc.value) == f"cannot write {target}: {reason}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
