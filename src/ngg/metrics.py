@@ -205,10 +205,6 @@ def make_out_dir(path) -> Path:
     return Path(path)
 
 
-# what open() says of a path that names no place for a file
-_NO_PLACE = (errno.ENAMETOOLONG, errno.ENOENT, errno.ENOTDIR)
-
-
 def write_atomic(path, chunks) -> None:
     """Write chunks (a str, or an iterable of str written in order) to path
     through one temporary sibling and os.replace.
@@ -223,18 +219,14 @@ def write_atomic(path, chunks) -> None:
         raise InvalidParamError(f"cannot write {path}: is a directory")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        fh = open(tmp, "w", newline="")
-    except OSError as exc:
-        if exc.errno in _NO_PLACE:  # the path is at fault, and nothing was made
-            raise InvalidParamError(f"cannot write {path}: {exc.strerror}") from exc
-        tmp.unlink(missing_ok=True)  # a full disk, say: the error propagates
-        raise
-    try:
-        with fh:
+        with open(tmp, "w", newline="") as fh:
             for chunk in [chunks] if isinstance(chunks, str) else chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
+        if isinstance(exc, OSError) and exc.errno in (  # no place for a file
+                errno.ENAMETOOLONG, errno.ENOENT, errno.ENOTDIR):
+            raise InvalidParamError(f"cannot write {path}: {exc.strerror}") from exc
         tmp.unlink(missing_ok=True)
         raise
 

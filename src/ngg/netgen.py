@@ -228,8 +228,7 @@ def _retry_connected(spec, rng, build) -> Network:
 
 
 def _random_graph(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    # row by row above the diagonal: the coins of np.triu_indices, in order,
-    # through one reused buffer, so a build allocates nothing per row
+    # np.triu_indices' coin order, row by row into one buffer: no per-row arrays
     adj, coins = np.zeros((m, m), dtype=bool), np.empty(m)
     for i in range(m - 1):
         np.less(rng.random(out=coins[i + 1:]), p, out=adj[i, i + 1:])
