@@ -2,7 +2,10 @@
 
 import ast
 import dataclasses
+import importlib
+import inspect
 import sys
+import textwrap
 import types
 import typing
 from pathlib import Path
@@ -85,4 +88,19 @@ def test_every_field_is_annotated_with_a_class(cls):
         if typing.get_origin(hint) is typing.Union and len(kinds) == 1:
             hint = kinds[0]  # Optional[X]
         assert isinstance(hint, type) and not typing.get_args(hint), (name, hint)
-    assert callable(vars(cls).get("validate"))
+
+
+def test_every_class_with_validate_checks_types():
+    # a parameter class whose validate() skips _check_types would accept a
+    # field of the wrong type; the classes found here must be _CHECKED
+    modules = [importlib.import_module(f"ngg.{path.stem}")
+               for path in SRC.glob("*.py") if path.stem != "__init__"]
+    with_validate = {obj for module in modules for obj in vars(module).values()
+                     if isinstance(obj, type) and obj.__module__ == module.__name__
+                     and callable(vars(obj).get("validate"))}
+    assert with_validate == set(_CHECKED)
+    for cls in with_validate:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls.validate)))
+        calls = {node.func.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "_check_types" in calls, cls.__name__
