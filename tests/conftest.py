@@ -436,18 +436,25 @@ def _oracle_ngmh_round(adj, memories, params, rng, fresh) -> tuple:
     return (n_succ + seed_ok) / size, size, 1
 
 
-def _oracle_minimal_round(adj, memories, params, rng, fresh) -> tuple:
-    edges = np.argwhere(np.triu(adj, 1))  # u < v, lexicographic
+def oracle_minimal_step(edges, memories, params, rng, fresh) -> tuple:
+    """One pairwise round on an edge list (u < v, lexicographic) with scalar
+    draws: integers(len(edges)), then random() < 0.5 picks the speaker end.
+    Returns (sr, speaker, hearer, word)."""
     e = int(rng.integers(len(edges)))
     s = 0 if rng.random() < 0.5 else 1
-    speaker, hearer = int(edges[e, s]), int(edges[e, 1 - s])
+    speaker, hearer = edges[e][s], edges[e][1 - s]
     word = _oracle_speak(memories, speaker, params, rng, fresh)
     if word in memories[hearer]:
         memories[hearer] = [word]
         memories[speaker] = [word]
-        return 1.0, 2, 1
+        return 1.0, speaker, hearer, word
     memories[hearer].append(word)
-    return 0.0, 2, 1
+    return 0.0, speaker, hearer, word
+
+
+def _oracle_minimal_round(adj, memories, params, rng, fresh) -> tuple:
+    edges = np.argwhere(np.triu(adj, 1)).tolist()
+    return oracle_minimal_step(edges, memories, params, rng, fresh)[0], 2, 1
 
 
 _ORACLE_ROUNDS = {"ngg": _oracle_ngg_round, "ngmh": _oracle_ngmh_round,

@@ -1,7 +1,7 @@
 """Game engine: weights, transmission, rounds, convergence."""
 
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from ngg.engine import (
     PopulationState,
     WeightTable,
     _Draws,
+    _minimal_steps,
     _ngmh_apply,
     _speak_all,
     form_group,
@@ -39,6 +40,7 @@ from conftest import (
     net_from_edges,
     node_weights,
     oracle_group_weights,
+    oracle_minimal_step,
     oracle_n_iter_cvg,
     oracle_recount,
     oracle_run,
@@ -1009,3 +1011,123 @@ def test_draws_reject_empty_range_as_numpy_does(n):
         rng(0).integers(n)
     with pytest.raises(ValueError, match="high <= 0"):
         _Draws(0).integers(n)
+
+
+# ----------------------------------------------------------------------
+# The minimal game's scalar draws
+# ----------------------------------------------------------------------
+
+_WIDE_GENERATORS = _DRAW_GENERATORS[:4]  # the ones that keep a 32-bit half
+
+
+def _minimal_steps_match_scalar_calls(net, memories, params, new, old, rounds):
+    """rounds of _minimal_steps on Generator new against the scalar rule on
+    old, from the same memories: each round the same pair and word, and
+    after close() the same population and the same generator state."""
+    pop, want, fresh = _population(memories), [list(m) for m in memories], [10]
+    edges = net.edges().tolist()
+    steps = _minimal_steps(net, pop, params, _Draws(new))
+    for got in islice(steps, rounds):
+        sr, speaker, hearer, word = oracle_minimal_step(edges, want, params, old,
+                                                        fresh)
+        assert got == (sr, 2, [word])
+        assert pop.memories[speaker] == want[speaker]
+        assert pop.memories[hearer] == want[hearer]
+    steps.close()
+    assert pop.memories == want
+    assert pop.next_fresh_word == fresh[0]
+    assert plain(new.bit_generator.state) == plain(old.bit_generator.state)
+
+
+def _ring_game(m: int, empty: float, seed: int):
+    """A ring of m nodes plus m // 4 chords, and memories of 1-4 of the words
+    0-9, each empty with probability `empty`."""
+    r = rng(seed)
+    edges = [(i, (i + 1) % m) for i in range(m)]
+    edges += [tuple(r.choice(m, 2, replace=False)) for _ in range(m // 4)]
+    memories = [[] if r.random() < empty else
+                r.choice(10, r.integers(1, 5), replace=False).tolist()
+                for _ in range(m)]
+    return net_from_edges(m, edges), memories
+
+
+# inventions at bounds where Lemire keeps or rejects, and above 2**32
+_STEP_VOCABULARIES = [None, 1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1,
+                      2**40]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(_DRAW_GENERATORS), st.integers(0, 2**64 - 1),
+       st.booleans(), st.integers(2, 500), st.floats(0.0, 1.0),
+       st.sampled_from(_STEP_VOCABULARIES), st.integers(0, 2200))
+@example(np.random.PCG64, 1, True, 500, 1.0, 2**31 + 1, 2200)
+@example(np.random.PCG64DXSM, 2, False, 500, 0.5, 2**40, 2200)
+@example(np.random.SFC64, 3, True, 500, 0.9, 3, 2200)
+@example(np.random.Philox, 4, True, 500, 1.0, 2**32, 2200)
+def test_minimal_steps_draw_as_the_generator_would(bitgen, seed, buffered, m,
+                                                   empty, vocabulary, rounds):
+    # Up to about three blocks of raw words, from a state that may hold a
+    # kept half, with inventions wherever a memory is still empty.
+    net, memories = _ring_game(m, empty, seed)
+    params = GameParams(n=2, beta=0.5, mode="minimal", vocabulary=vocabulary)
+    new, old = twin_generators(bitgen, seed, buffered)
+    _minimal_steps_match_scalar_calls(net, memories, params, new, old, rounds)
+
+
+def _sfc64_at(a, counter, has, half):
+    """Two SFC64 Generators whose next raw words are a + counter, then
+    counter + 1 (b = c = 0), holding the kept half (has, half)."""
+    pair = []
+    for _ in range(2):
+        bg = np.random.SFC64()
+        bg.state = {"bit_generator": "SFC64",
+                    "state": {"state": np.array([a, 0, 0, counter], np.uint64)},
+                    "has_uint32": has, "uinteger": half}
+        pair.append(np.random.Generator(bg))
+    return pair
+
+
+@pytest.mark.parametrize("a, counter, has, half", [
+    (5 << 32, 0, 0, 0),           # the edge's fresh low half is 0
+    (1 << 63, 0, 1, 0),           # the edge's kept half is 0
+    (5, 0, 0, 0),                 # the pick's kept half is 0
+    (1, 2**64 - 1, 1, 7),         # the pick's fresh low half is 0
+], ids=["edge-fresh", "edge-kept", "pick-kept", "pick-fresh"])
+def test_minimal_steps_lemire_rejection(a, counter, has, half):
+    # A 32-bit half of 0 makes integers(3) reject it ((2**32 - 3) % 3 == 1):
+    # on a triangle where every memory holds three words, at the edge draw or
+    # at the speaker's pick, from a kept half or from a fresh word.
+    net = complete_net(3)
+    params = GameParams(n=2, beta=0.5, mode="minimal")
+    new, old = _sfc64_at(a, counter, has, half)
+    _minimal_steps_match_scalar_calls(net, [[0, 1, 2]] * 3, params, new, old, 3)
+
+
+@pytest.mark.parametrize("bitgen, vocabulary", zip(
+    _WIDE_GENERATORS, [None, 3, 2**31 + 1, 2**40]))
+def test_long_minimal_run_matches_whole_run_oracle(bitgen, vocabulary):
+    # Every round reads at least one raw word (its random()), so a run of
+    # 3,300 rounds reads past three blocks of 1,024; it stops at the cap.
+    net = net_from_edges(30, [(i, (i + 1) % 30) for i in range(30)])
+    params = GameParams(n=2, beta=0.5, mode="minimal", max_iterations=3300,
+                        vocabulary=vocabulary)
+    new, old = twin_generators(bitgen, 11, True)
+    trace, summary = run_to_convergence(net, params, new)
+    assert len(trace) == 3300 > 3 * 1024 and not summary.converged
+    assert trace == make_trace(oracle_run(net, params, old))
+    assert plain(new.bit_generator.state) == plain(old.bit_generator.state)
+
+
+@pytest.mark.parametrize("bitgen", _DRAW_GENERATORS)
+def test_minimal_rounds_leave_the_generator_as_scalar_calls_would(bitgen):
+    net = generate(NetworkSpec("ba", 40, n0=3, e=2), rng(8))
+    params = GameParams(n=2, beta=0.5, mode="minimal", vocabulary=2**40)
+    new, old = twin_generators(bitgen, 9, True)
+    pop, want, fresh = PopulationState(40), [[] for _ in range(40)], [0]
+    edges = net.edges().tolist()
+    for _ in range(100):
+        out = minimal_ng_round(net, pop, params, new)
+        sr, _, _, word = oracle_minimal_step(edges, want, params, old, fresh)
+        assert (out.sr, out.transmitted) == (sr, [word])
+        assert plain(new.bit_generator.state) == plain(old.bit_generator.state)
+    assert pop.memories == want
