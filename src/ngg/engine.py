@@ -436,32 +436,111 @@ def ngmh_round(net: Network, pop: PopulationState, params: GameParams,
     return _ngmh_apply(group, word, pop, params.basis(len(group.members)))
 
 
+_BLOCK = 1024  # raw words per random_raw read of a minimal run
+_ROUND_WORDS = 3  # the most words one minimal round reads from a block
+_M32 = 0xFFFFFFFF
+
+
+def _write_back(bg, mark: dict, used: int, has: int, half: int) -> None:
+    """Set bg to its state mark advanced by `used` raw words, holding numpy's
+    kept 32-bit half (has_uint32, uinteger) = (has, half). SFC64 has no
+    advance(), so the words are replayed."""
+    bg.state = mark
+    bg.random_raw(used)
+    bg.state = {**bg.state, "has_uint32": has, "uinteger": half}
+
+
 def _minimal_steps(net: Network, pop: PopulationState, params: GameParams,
-                   draws: _Draws):
+                   draws: _Draws, block: int = _BLOCK):
     """Rounds of the classic pairwise game on a uniform edge with a uniform
     orientation, without end, yielding each round's (sr, group_size,
-    transmitted): the run loop iterates it, minimal_ng_round takes one step."""
+    transmitted): the run loop iterates it, minimal_ng_round takes one step.
+    The speaker speaks by speak()'s rule.
+
+    The scalar draws are read from random_raw(block) words as numpy computes
+    them: random() is (w >> 11) * 2**-53 of a fresh word w, so random() < 0.5
+    is w's top bit clear; integers(n) is netgen._bounded on the words' 32-bit
+    halves, low half first, the high half kept as numpy's has_uint32/uinteger,
+    read here where it accepts its first half. A half it may reject, or a
+    vocabulary word, writes the words used back to the Generator and is drawn
+    by `draws`, as is the rest of its round; so is every draw of a bit
+    generator with no kept half (MT19937) or on a single edge (integers(1)
+    draws nothing). Closing the steps writes the state back, so the
+    Generator ends where numpy's scalar calls would leave it.
+    """
     edges = net.edges().data  # a 2-D memoryview: items come back as ints
-    n_edges, integers, coin = len(edges), draws.integers, draws._next_double
+    n_edges, vocabulary = len(edges), params.vocabulary
     memories, adopt, learn = pop.memories, pop.adopt, pop.learn
-    while True:
-        e = integers(n_edges)
-        s = 0 if coin() < 0.5 else 1
-        speaker, hearer = edges[e, s], edges[e, 1 - s]
-        word = speak(pop, speaker, params, draws)
-        if word in memories[hearer]:
-            adopt(hearer, word)
-            adopt(speaker, word)
-            yield 1.0, 2, [word]
-        else:
-            learn(hearer, word)
-            yield 0.0, 2, [word]
+    integers, coin = draws.integers, draws._next_double
+    bg = draws._gen.bit_generator
+    blocks = n_edges > 1 and "has_uint32" in bg.state  # else `draws` draws
+    raw, p = False, 0  # reading the block words[p:], which starts at state mark
+    try:
+        while True:
+            if p > block - _ROUND_WORDS or blocks and not raw:
+                if raw:
+                    _write_back(bg, mark, p, has, half)
+                mark = bg.state
+                has, half = mark["has_uint32"], mark["uinteger"]
+                words, p, raw = bg.random_raw(block).tolist(), 0, True
+            if raw:  # e = integers(n_edges)
+                m = (half if has else words[p] & _M32) * n_edges
+                if m & _M32 < n_edges:  # _bounded may reject: it decides
+                    _write_back(bg, mark, p, has, half)
+                    raw = False
+                elif has:
+                    has = 0
+                else:
+                    has, half, p = 1, words[p] >> 32, p + 1
+            e = m >> 32 if raw else integers(n_edges)
+            if raw:
+                s, p = words[p] >> 63, p + 1
+            else:
+                s = 0 if coin() < 0.5 else 1
+            speaker, hearer = edges[e, s], edges[e, 1 - s]
+            mem = memories[speaker]
+            k = len(mem)
+            if k == 1:  # integers(1) draws nothing
+                word = mem[0]
+            elif k:
+                if raw:  # integers(k), as for the edge
+                    m = (half if has else words[p] & _M32) * k
+                    if m & _M32 < k:
+                        _write_back(bg, mark, p, has, half)
+                        raw = False
+                    elif has:
+                        has = 0
+                    else:
+                        has, half, p = 1, words[p] >> 32, p + 1
+                word = mem[m >> 32 if raw else integers(k)]
+            else:  # an empty memory invents, and the word enters it
+                if vocabulary is None:
+                    word = pop.next_fresh_word
+                    pop.next_fresh_word += 1
+                else:
+                    if raw:
+                        _write_back(bg, mark, p, has, half)
+                        raw = False
+                    word = int(integers(vocabulary))
+                learn(speaker, word)
+            if word in memories[hearer]:
+                adopt(hearer, word)
+                adopt(speaker, word)
+                yield 1.0, 2, [word]
+            else:
+                learn(hearer, word)
+                yield 0.0, 2, [word]
+    finally:
+        if raw:
+            _write_back(bg, mark, p, has, half)
 
 
 def minimal_ng_round(net: Network, pop: PopulationState, params: GameParams,
                      rng: np.random.Generator) -> RoundOutcome:
     """One round of the pairwise game: a success is both agents'."""
-    sr, size, transmitted = next(_minimal_steps(net, pop, params, _Draws(rng)))
+    steps = _minimal_steps(net, pop, params, _Draws(rng), block=_ROUND_WORDS)
+    sr, size, transmitted = next(steps)
+    steps.close()  # writes the draws back to rng
     return RoundOutcome(size, transmitted, int(sr), 2 * int(sr), sr)
 
 
@@ -522,4 +601,6 @@ def run_to_convergence(net: Network, params: GameParams, seed):
         n_transmitted(len(transmitted))
         if total == m and distinct == 1:
             break
+    if params.mode == "minimal":
+        steps.close()  # writes the draws back to a passed Generator
     return trace, summarize(trace, pop.converged_word())
