@@ -468,12 +468,12 @@ def _minimal_steps(net: Network, pop: PopulationState, params: GameParams,
     draws nothing). Closing the steps writes the state back, so the
     Generator ends where numpy's scalar calls would leave it.
     """
-    edges = net.edges().tolist()
+    edges = net.edges().data  # a 2-D memoryview: items come back as ints
     n_edges, vocabulary = len(edges), params.vocabulary
     memories, adopt, learn = pop.memories, pop.adopt, pop.learn
     integers, coin = draws.integers, draws._next_double
     bg = draws._gen.bit_generator
-    blocks = n_edges > 1 and "has_uint32" in bg.state  # else `draws` draws
+    blocks = n_edges > 1 and "has_uint32" in bg.state  # else `draws` makes every draw
     raw, p = False, 0  # reading the block words[p:], which starts at state mark
     try:
         while True:
@@ -497,8 +497,7 @@ def _minimal_steps(net: Network, pop: PopulationState, params: GameParams,
                 s, p = words[p] >> 63, p + 1
             else:
                 s = 0 if coin() < 0.5 else 1
-            pair = edges[e]
-            speaker, hearer = pair[s], pair[1 - s]
+            speaker, hearer = edges[e, s], edges[e, 1 - s]
             mem = memories[speaker]
             k = len(mem)
             if k == 1:  # integers(1) draws nothing
