@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParamError
-from .netgen import Network, _bounded, _check_types
+from .netgen import Network, _bounded, _check_types, _keep_half
 
 GROUP_SIZE_BASES = ("nominal", "actual")
 
@@ -447,7 +447,7 @@ def _write_back(bg, mark: dict, used: int, has: int, half: int) -> None:
     advance(), so the words are replayed."""
     bg.state = mark
     bg.random_raw(used)
-    bg.state = {**bg.state, "has_uint32": has, "uinteger": half}
+    _keep_half(bg, has, half)
 
 
 def _minimal_steps(net: Network, pop: PopulationState, params: GameParams,
@@ -461,23 +461,25 @@ def _minimal_steps(net: Network, pop: PopulationState, params: GameParams,
     them: random() is (w >> 11) * 2**-53 of a fresh word w, so random() < 0.5
     is w's top bit clear; integers(n) is netgen._bounded on the words' 32-bit
     halves, low half first, the high half kept as numpy's has_uint32/uinteger,
-    read here where it accepts its first half. A half it may reject, or a
-    vocabulary word, writes the words used back to the Generator and is drawn
-    by `draws`, as is the rest of its round; so is every draw of a bit
-    generator with no kept half (MT19937) or on a single edge (integers(1)
-    draws nothing). Closing the steps writes the state back, so the
-    Generator ends where numpy's scalar calls would leave it.
+    read here where it accepts its first half. A half it may reject, or an
+    invention from a bounded vocabulary, writes the words used back to the
+    Generator and is drawn by `draws`, as is the rest of its round; so is
+    every draw when block is 0 (one step, where a block costs more than it
+    saves), of a bit generator with no kept half (MT19937) or on a single
+    edge (integers(1) draws nothing). Closing the steps writes the state
+    back, so the Generator ends where numpy's scalar calls would leave it.
     """
     edges = net.edges().data  # a 2-D memoryview: items come back as ints
     n_edges, vocabulary = len(edges), params.vocabulary
     memories, adopt, learn = pop.memories, pop.adopt, pop.learn
     integers, coin = draws.integers, draws._next_double
     bg = draws._gen.bit_generator
-    blocks = n_edges > 1 and "has_uint32" in bg.state  # else `draws` makes every draw
+    blocks = block > 0 and n_edges > 1 and "has_uint32" in bg.state
+    last = block - _ROUND_WORDS  # the last p a round may start a block at
     raw, p = False, 0  # reading the block words[p:], which starts at state mark
     try:
         while True:
-            if p > block - _ROUND_WORDS or blocks and not raw:
+            if blocks and (not raw or p > last):
                 if raw:
                     _write_back(bg, mark, p, has, half)
                 mark = bg.state
@@ -513,16 +515,11 @@ def _minimal_steps(net: Network, pop: PopulationState, params: GameParams,
                     else:
                         has, half, p = 1, words[p] >> 32, p + 1
                 word = mem[m >> 32 if raw else integers(k)]
-            else:  # an empty memory invents, and the word enters it
-                if vocabulary is None:
-                    word = pop.next_fresh_word
-                    pop.next_fresh_word += 1
-                else:
-                    if raw:
-                        _write_back(bg, mark, p, has, half)
-                        raw = False
-                    word = int(integers(vocabulary))
-                learn(speaker, word)
+            else:  # an empty memory invents by speak()'s rule
+                if raw and vocabulary is not None:  # its draw is `draws`'
+                    _write_back(bg, mark, p, has, half)
+                    raw = False
+                word = speak(pop, speaker, params, draws)
             if word in memories[hearer]:
                 adopt(hearer, word)
                 adopt(speaker, word)
@@ -538,9 +535,8 @@ def _minimal_steps(net: Network, pop: PopulationState, params: GameParams,
 def minimal_ng_round(net: Network, pop: PopulationState, params: GameParams,
                      rng: np.random.Generator) -> RoundOutcome:
     """One round of the pairwise game: a success is both agents'."""
-    steps = _minimal_steps(net, pop, params, _Draws(rng), block=_ROUND_WORDS)
-    sr, size, transmitted = next(steps)
-    steps.close()  # writes the draws back to rng
+    sr, size, transmitted = next(_minimal_steps(net, pop, params, _Draws(rng),
+                                                block=0))
     return RoundOutcome(size, transmitted, int(sr), 2 * int(sr), sr)
 
 

@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -260,22 +259,6 @@ def _worker_count(cfg: ExperimentConfig) -> int:
     return min(cfg.parallelism, cpus)
 
 
-def _in_order(pool, jobs, ahead: int):
-    """_job's results in job order, with at most `ahead` jobs submitted to
-    pool and not yet taken, so finished runs wait in memory only that far."""
-    pending = deque()
-    try:
-        for job in jobs:
-            pending.append(pool.submit(_job, job))
-            if len(pending) == ahead:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Execute every (point, repetition) run and write all artifacts.
 
@@ -299,7 +282,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     runs_meta = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():  # results stream in job order as runs finish
-        results = _in_order(pool, jobs, 2 * workers) if pool else map(_job, jobs)
+        results = pool.map(_job, jobs, chunksize=1) if pool else map(_job, jobs)
         for pi, params in enumerate(points):
             traces, summaries = [], []
             runs_detail = []

@@ -248,6 +248,12 @@ def _bounded(next32, n: int) -> int:
     return m >> 32
 
 
+def _keep_half(bg, has: int, half: int) -> None:
+    """Set bg's kept 32-bit half, numpy's (has_uint32, uinteger), after words
+    read from random_raw, which neither reads nor moves it."""
+    bg.state = {**bg.state, "has_uint32": has, "uinteger": half}
+
+
 def _small_world(m: int, k: int, rp: float, rng: np.random.Generator) -> np.ndarray:
     """Ring lattice; each lattice edge (i, i+j), j-major, moves its far end with
     probability rp to a node that is not i and not adjacent. The draws are the
@@ -298,7 +304,7 @@ def _small_world(m: int, k: int, rp: float, rng: np.random.Generator) -> np.ndar
             cell[i * m + t] = cell[t * m + i] = True
             deg[old], deg[t] = deg[old] - 1, deg[t] + 1
         e += len(words) - p
-    bg.state = {**bg.state, "has_uint32": has, "uinteger": half}
+    _keep_half(bg, has, half)
     return adj
 
 

