@@ -1,11 +1,13 @@
 """SVG chart rendering."""
 
 import hashlib
+import json
 import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from ngg.cli import main
 from ngg.errors import InvalidParamError
 from ngg.plotting import render_line_chart
 
@@ -119,3 +121,84 @@ def test_dense_series_keeps_endpoints_and_extremes(log_y):
     assert len(pts) <= 4 * 659  # columns 78..736
     px = [float(pt.split(",")[0]) for pt in pts]
     assert px == sorted(px)
+
+
+# ----------------------------------------------------------------------
+# Golden charts: SHA-256 of SVGs at the edges of the axis-range rule and of
+# text escaping. A refactor of the chart writer must leave them unchanged.
+# ----------------------------------------------------------------------
+
+TEXT = "A & B < C > D \"q\" 'a' β→∞ Ω"
+
+CHARTS = {
+    # the metric-vs-beta figure of the paper, log y
+    "metric-vs-beta-log": dict(
+        series=[("n_iter_cvg", [0.2, 0.5, 0.8], [912.5, 401.0, 233.5])],
+        xlabel="beta", ylabel="n_iter_cvg", log_y=True,
+        desc="kind=metric-vs-beta;yscale=log;series=1"),
+    "single-x": dict(series=[("s", [0.5, 0.5], [1.0, 2.0])]),
+    "single-y": dict(series=[("s", [1, 2, 3], [4.0, 4.0, 4.0])]),
+    "x-1e-300": dict(series=[("s", [1e-300, 1.5e-300, 2e-300], [1.0, 3.0, 2.0])]),
+    "x-subnormal": dict(series=[("s", [0.0, 0.5e-320, 1e-320], [1.0, 3.0, 2.0])]),
+    "x-1e9": dict(series=[("s", [1e9, 1e9 + 0.5, 1e9 + 1], [1.0, 3.0, 2.0])]),
+    "text": dict(
+        series=[(TEXT, [1, 2], [1.0, 2.0]), ("<b>&amp;</b>", [1, 2], [2.0, 1.0])],
+        title=TEXT, xlabel="x < 1 & y > 2", ylabel="\"ñ\" 'é'",
+        desc="kind=<&>"),
+}
+
+GOLDEN_SVG = {
+    "metric-vs-beta-log":
+        "6fd12630a681d673004419c75ab156e9a0761b1f842b78b1c5db8a1739702c88",
+    "single-x":
+        "ff732689e08df2a167f628812a457207dc075bacc79fc06eafa634a53b52f222",
+    "single-y":
+        "93ff98df9548b452a54f49ee805961e15512010f815c15792d265da2e282c787",
+    "x-1e-300":
+        "096a26cbbb8420c76d51df1a4ed6d07e47b26d22c593cef131e5ce7a1ec5c003",
+    "x-subnormal":
+        "810089e410b476b1681b675864ef5e7a66d6c5f2aaf1c82554a54a7ab8484951",
+    "x-1e9":
+        "4b7ce21737b09e852a42c1a9310894dd4f5753aaa2421a29e1db375d9c2db6dc",
+    "text":
+        "1ed3a6353d8d1db6e17dca525712483c465b2ab8dd343211f7ae2da9aadb0baf",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SVG))
+def test_chart_svg_is_golden(name):
+    assert sha256(render_line_chart(**CHARTS[name])) == GOLDEN_SVG[name]
+
+
+def test_text_is_escaped_once():
+    svg = render_line_chart(**CHARTS["text"])
+    root = parse(svg)
+    texts = [t.text for t in elements(root, "text")]
+    assert TEXT in texts and "<b>&amp;</b>" in texts
+    assert elements(root, "desc")[0].text == "kind=<&>"
+    assert "&lt;b&gt;&amp;amp;&lt;/b&gt;" in svg and '"q"' in svg
+
+
+def test_benchmark_n_diff_plot_is_golden(tmp_path):
+    # the baseline sweep's chart, at small scale: two averaged traces of
+    # thousands of iterations, so columns are thinned
+    config = tmp_path / "baseline.json"
+    config.write_text(json.dumps({
+        "network": {"model": "ba", "m": 200, "n0": 21, "e": 20},
+        "game": {"n": 20, "beta": 0.5},
+        "repetitions": 2,
+        "master_seed": 7,
+        "sweep": {"modes": ["ngmh", "minimal"]},
+        "parallelism": 1,
+    }))
+    sweep, svg = tmp_path / "sweep", tmp_path / "n_diff.svg"
+    assert main(["sweep", "--config", str(config), "--out", str(sweep)]) == 0
+    averages = [str(sweep / f"point{p:03d}_avg.csv") for p in range(2)]
+    assert main(["plot", "--kind", "n-diff", "--inputs", *averages,
+                 "--out", str(svg)]) == 0
+    assert sha256(svg.read_text()) == (
+        "b917d9362a98b33d7ef18d3d5ec0296120a7e137099e1ba8df05dc8100dc7df7")
