@@ -575,7 +575,7 @@ def run_to_convergence(net: Network, params: GameParams, seed):
     an error: the summary comes back flagged (converged=False) so callers
     can decide what a capped run means for them.
     """
-    from .metrics import Trace, summarize
+    from .metrics import Trace, summarize  # per call, so a wrapper on summarize fires
 
     params.validate(net.m)
     rng = _Draws(seed)

@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import datetime, timezone
@@ -280,6 +279,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     workers = min(_worker_count(cfg), len(jobs))
     point_rows = []
     runs_meta = []
+    if workers > 1:  # so a sequential sweep never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():  # results stream in job order as runs finish
         results = pool.map(_job, jobs, chunksize=1) if pool else map(_job, jobs)

@@ -10,7 +10,8 @@ renderer dependency. A leading <desc> element carries machine-readable
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+import sys
+from html import escape
 
 import numpy as np
 
@@ -40,14 +41,20 @@ def _nice_step(span: float, target: int) -> float:
     return factor * mag
 
 
+def _axis_range(lo: float, hi: float) -> tuple:
+    """The drawn range for values from lo to hi. One narrower than 16 float steps
+    at its magnitude (where a subnormal range's tick step underflows to 0) is
+    widened by 0.5 on each side, or by 16 steps where 0.5 is less."""
+    least = 16 * math.ulp(max(abs(lo), abs(hi)))
+    pad = max(0.5, least)
+    return (lo, hi) if hi - lo >= least else (lo - pad, hi + pad)
+
+
 def _linear_ticks(lo: float, hi: float, target: int = 5) -> list:
-    if hi <= lo:
-        hi = lo + (abs(lo) or 1.0)
     step = _nice_step(hi - lo, target)
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
-    while t <= hi + step * 1e-9:
+    t = math.ceil(lo / step) * step
+    while t <= min(hi + step * 1e-9, sys.float_info.max):  # an inf end never stops
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
         t += step
     return ticks
@@ -88,22 +95,16 @@ def render_line_chart(series, *, title: str = "", xlabel: str = "",
     if not all(np.isfinite(col).all() for xy in data for col in xy):
         raise InvalidParamError("every x and y value must be finite")
     xs_all, ys_all = (np.concatenate(col).tolist() for col in zip(*data))
-    if log_y and min(ys_all) <= 0:
-        raise InvalidParamError("log-scale y requires positive values")
+    if log_y and not 1e-323 < min(ys_all) <= max(ys_all) <= 1e308:
+        raise InvalidParamError("log-scale y requires values in (1e-323, 1e308]")
 
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    x_lo, x_hi = _axis_range(min(xs_all), max(xs_all))
     if log_y:
         y_ticks = _log_ticks(min(ys_all), max(ys_all))
-        y_lo, y_hi = math.log10(y_ticks[0]), math.log10(y_ticks[-1])
-        if y_hi == y_lo:
-            y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-        y_pos = lambda v: math.log10(v)
+        y_lo, y_hi = _axis_range(math.log10(y_ticks[0]), math.log10(y_ticks[-1]))
+        y_pos = math.log10
     else:
-        y_lo, y_hi = min(ys_all), max(ys_all)
-        if y_hi == y_lo:
-            y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        y_lo, y_hi = _axis_range(min(ys_all), max(ys_all))
         pad = (y_hi - y_lo) * 0.04
         y_lo, y_hi = y_lo - pad, y_hi + pad
         y_ticks = _linear_ticks(y_lo, y_hi)
@@ -122,7 +123,7 @@ def render_line_chart(series, *, title: str = "", xlabel: str = "",
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
-        f"<desc>{escape(desc)}</desc>" if desc else "<desc></desc>",
+        f"<desc>{escape(desc, False)}</desc>" if desc else "<desc></desc>",
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
     ]
     axis = 'stroke="#333" stroke-width="1"'
@@ -149,18 +150,18 @@ def render_line_chart(series, *, title: str = "", xlabel: str = "",
 
     if title:
         out.append(f'<text x="{_W / 2}" y="24" text-anchor="middle" '
-                   f'font-size="15">{escape(title)}</text>')
+                   f'font-size="15">{escape(title, False)}</text>')
     if xlabel:
         out.append(f'<text x="{_ML + px_w / 2}" y="{_H - 14}" '
-                   f'text-anchor="middle">{escape(xlabel)}</text>')
+                   f'text-anchor="middle">{escape(xlabel, False)}</text>')
     if ylabel:
         out.append(f'<text x="20" y="{_MT + px_h / 2}" text-anchor="middle" '
                    f'transform="rotate(-90 20 {_MT + px_h / 2})">'
-                   f'{escape(ylabel)}</text>')
+                   f'{escape(ylabel, False)}</text>')
 
     for k, (xs, ys) in enumerate(data):
         color = PALETTE[k % len(PALETTE)]
-        px = _ML + (xs - x_lo) / (x_hi - x_lo) * px_w  # sx, elementwise
+        px = sx(xs)
         keep = _column_extremes(px, ys)
         pts = " L ".join(f"{x:.2f},{sy(y):.2f}"
                          for x, y in zip(px[keep].tolist(), ys[keep].tolist()))
@@ -173,7 +174,7 @@ def render_line_chart(series, *, title: str = "", xlabel: str = "",
         out.append(f'<rect x="{_ML + px_w - 150}" y="{ly - 9}" width="18" '
                    f'height="4" fill="{color}"/>')
         out.append(f'<text x="{_ML + px_w - 126}" y="{ly - 2}">'
-                   f'{escape(str(label))}</text>')
+                   f'{escape(str(label), False)}</text>')
         ly += 17
 
     out.append("</svg>")

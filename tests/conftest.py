@@ -10,6 +10,9 @@ from __future__ import annotations
 import csv
 import math
 import os
+import resource
+import subprocess
+import sys
 from array import array
 from fractions import Fraction
 from itertools import combinations
@@ -589,3 +592,16 @@ def child_env():
     env = dict(os.environ)
     prepend(env, "PYTHONPATH", Path(ngg.__file__).resolve().parents[1])
     return env
+
+
+def run_capped(args, timeout=30, limit=1 << 30):
+    """Run ``python *args`` in a child whose address space is capped at
+    ``limit`` bytes, so a loop that never ends fails fast instead of taking
+    the host's memory; a child still running after ``timeout`` seconds is
+    killed, and ``subprocess.TimeoutExpired`` is raised here."""
+    env = child_env()
+    env["OPENBLAS_NUM_THREADS"] = "1"  # numpy's per-thread buffers fit the cap
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))

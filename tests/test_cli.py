@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import HalfFile, child_env, prepend
+from conftest import HalfFile, child_env, prepend, run_capped
 from ngg.cli import main
 from ngg.harness import parse_config
 
@@ -326,6 +326,16 @@ def test_plot_metric_vs_beta(tmp_path, traces):
     assert len(svg_elements(svg, "path")) == 1
     desc = svg_elements(svg, "desc")[0].text
     assert desc == "kind=metric-vs-beta;yscale=log;series=1"
+
+
+@pytest.mark.parametrize("x", [["0.3", "0.30000000000000004"], ["1e17"],
+                               ["0", "5e-324"]], ids=" ".join)
+def test_plot_metric_vs_beta_narrow_x_exits_cleanly(tmp_path, traces, x):
+    # in a capped child: a tick loop that never ends is killed, not waited on
+    proc = run_capped(["-m", "ngg.cli", "plot", "--kind", "metric-vs-beta",
+                       "--metric", "n_iter_cvg", "--x", *x,
+                       "--inputs", *traces[:len(x)], "--out", str(tmp_path / "m.svg")])
+    assert proc.returncode in (0, 2) and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_plot_metric_vs_beta_linear_for_other_metrics(tmp_path, traces):

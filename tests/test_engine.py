@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ngg import metrics
 from ngg.engine import (
     GROUP_SIZE_BASES,
     MODES,
@@ -867,6 +868,20 @@ def test_run_to_convergence_rejects_oversized_group():
     net = path_net(4)
     with pytest.raises(InvalidParamError):
         run_to_convergence(net, GameParams(n=5, beta=0.5), 0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_to_convergence_looks_summarize_up_per_call(monkeypatch, mode):
+    # the benchmark times metrics.summarize by wrapping it in the module; a
+    # run that bound the original at import would bypass the wrapper
+    calls = []
+    real = metrics.summarize
+    monkeypatch.setattr(metrics, "summarize",
+                        lambda *args: calls.append(mode) or real(*args))
+    net = generate(NetworkSpec("rg", 20, p=0.4), rng(3))
+    for seed in range(3):
+        run_to_convergence(net, GameParams(n=4, beta=0.5, mode=mode), seed)
+    assert calls == [mode] * 3
 
 
 def test_run_to_convergence_deterministic():

@@ -1,6 +1,7 @@
 """Experiment harness: seeds, config validation, artifact reproducibility."""
 
 import builtins
+import concurrent.futures
 import json
 import re
 from dataclasses import replace
@@ -456,7 +457,8 @@ class _RecordingPool:
 
 def test_worker_count_clamped_to_cpus(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    # run_experiment imports the pool class from here, and only for workers > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     _RecordingPool.sizes.clear()
     run_experiment(small_cfg(parallelism=64), tmp_path)
     assert _RecordingPool.sizes == [2]

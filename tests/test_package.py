@@ -4,6 +4,8 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import subprocess
 import sys
 import textwrap
 import types
@@ -14,6 +16,8 @@ import pytest
 
 import ngg
 from ngg import cli, engine, harness, metrics, netgen
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -104,3 +108,25 @@ def test_every_class_with_validate_checks_types():
         calls = {node.func.id for node in ast.walk(tree)
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
         assert "_check_types" in calls, cls.__name__
+
+
+# the XML, HTTP, e-mail, TLS, socket and process-pool stacks: a bare
+# interpreter loads none of them, and neither may the CLI or a sequential run
+HEAVY = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket",
+         "multiprocessing", "concurrent.futures.process")
+
+
+def test_cli_and_a_sequential_run_load_no_heavy_stack(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "network": {"model": "rg", "m": 12, "p": 0.4},
+        "game": {"n": 3, "beta": 0.5}, "repetitions": 2, "master_seed": 1}))
+    code = (f"import sys, ngg.cli\n"
+            f"loaded = [m for m in {HEAVY!r} if m in sys.modules]\n"
+            f"ngg.cli.main(['run', '--config', {str(config)!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}])\n"
+            f"print(loaded, [m for m in {HEAVY!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] []"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from ngg.cli import main
 from ngg.errors import InvalidParamError
 from ngg.plotting import render_line_chart
+
+from conftest import run_capped
 
 
 def parse(svg: str):
@@ -56,6 +59,19 @@ def test_bad_series_rejected(series):
 def test_log_scale_rejects_nonpositive():
     with pytest.raises(InvalidParamError):
         render_line_chart([("s", [1, 2], [1.0, 0.0])], log_y=True)
+
+
+@pytest.mark.parametrize("ys", [[5e-324, 1.0], [1e-323, 1.0], [1.0, 1.7e308]])
+def test_log_scale_past_the_float_decades_rejected(ys):
+    # a decade tick below 1e-323 underflows to 0, one above 1e308 overflows
+    with pytest.raises(InvalidParamError, match=r"\(1e-323, 1e308\]"):
+        render_line_chart([("s", [1, 2], ys)], log_y=True)
+
+
+def test_log_scale_at_the_float_decade_edges_draws():
+    svg = render_line_chart([("s", [1, 2], [1.5e-323, 1e308])], log_y=True)
+    texts = [t.text for t in elements(parse(svg), "text")]
+    assert f"{1e-323:.6g}" in texts and "1e+308" in texts  # the outer decades
 
 
 @pytest.mark.parametrize("xs, ys", [
@@ -202,3 +218,30 @@ def test_benchmark_n_diff_plot_is_golden(tmp_path):
                  "--out", str(svg)]) == 0
     assert sha256(svg.read_text()) == (
         "b917d9362a98b33d7ef18d3d5ec0296120a7e137099e1ba8df05dc8100dc7df7")
+
+
+# values one float step apart, one value where 0.5 is below a float step,
+# and one subnormal step: narrower than any tick step at their magnitude
+NARROW = [(0.3, 0.1 + 0.2), (1e17, 1e17), (1e17, 1e17 + 16), (0.0, 5e-324)]
+
+_DRAW = """
+import sys
+from ngg.plotting import render_line_chart
+a, b = float(sys.argv[1]), float(sys.argv[2])
+xy = ([a, b], [1.0, 2.0]) if sys.argv[3] == "x" else ([1.0, 2.0], [a, b])
+print(render_line_chart([("s", *xy)]).count("<path"))
+"""
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("pair", NARROW, ids=repr)
+def test_narrow_range_is_widened(pair, axis):
+    # in a capped child: a tick loop that never ends is killed, not waited on
+    proc = run_capped(["-c", _DRAW, *map(repr, pair), axis])
+    assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+
+
+def test_range_up_to_the_largest_float_draws():
+    # the tick loop's end, a hair above the range, must not overflow to inf
+    proc = run_capped(["-c", _DRAW, "1.0", repr(sys.float_info.max), "x"])
+    assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
