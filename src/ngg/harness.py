@@ -279,9 +279,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     workers = min(_worker_count(cfg), len(jobs))
     point_rows = []
     runs_meta = []
+    pool = None
     if workers > 1:  # so a sequential sweep never loads the process pool
         from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+        pool = ProcessPoolExecutor(max_workers=workers)
     with pool or nullcontext():  # results stream in job order as runs finish
         results = pool.map(_job, jobs, chunksize=1) if pool else map(_job, jobs)
         for pi, params in enumerate(points):

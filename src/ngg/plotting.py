@@ -10,7 +10,6 @@ renderer dependency. A leading <desc> element carries machine-readable
 from __future__ import annotations
 
 import math
-import sys
 from html import escape
 
 import numpy as np
@@ -54,7 +53,7 @@ def _linear_ticks(lo: float, hi: float, target: int = 5) -> list:
     step = _nice_step(hi - lo, target)
     ticks = []
     t = math.ceil(lo / step) * step
-    while t <= min(hi + step * 1e-9, sys.float_info.max):  # an inf end never stops
+    while t <= hi + step * 1e-9 and math.isfinite(t):  # hi may round up to inf
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
         t += step
     return ticks
